@@ -14,7 +14,7 @@
 //!   the union is exactly the single-server result set and that no pass
 //!   degraded to partial.
 //! * **replica catch-up**: a store-attached primary exporting its durable
-//!   trail; a fresh [`Replica`] converges over wire-v4 segment shipping.
+//!   trail; a fresh [`Replica`] converges over wire segment shipping.
 //!   Reported as initial catch-up (cold, whole trail) and delta lag (one
 //!   incremental sync after more writes land).
 //!

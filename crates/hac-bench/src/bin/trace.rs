@@ -1,7 +1,7 @@
 //! Tracing overhead: the same query and reindex work measured with
 //! distributed tracing enabled vs disabled, plus the fleet **stitch**
 //! tier — stitched-trace fetch latency over a 2-shard loopback
-//! federation and the contract that span *collection* (wire-v5
+//! federation and the contract that span *collection* (wire
 //! `TraceSpans` scatter) stays off the query hot path. Emitted as
 //! `BENCH_trace.json`.
 //!
@@ -105,7 +105,7 @@ struct StitchReport {
 /// The stitch tier: the same corpus served as a 2-shard loopback
 /// federation (real `HacServer`s, real wire), federated queries minting
 /// real multi-node traces, and the coordinator pulling peer span forests
-/// over the wire-v5 `TraceSpans` op — exactly what `/trace/<id>` does on
+/// over the wire `TraceSpans` op — exactly what `/trace/<id>` does on
 /// a fleet obs server, minus the HTTP framing. The concurrent lane
 /// proves span collection is read-side only: a stitch loop running flat
 /// out must not move the query p50 beyond noise.
@@ -258,7 +258,7 @@ fn main() {
     hac_obs::start_sampler(Duration::from_millis(10));
     let query_sampled = query_p50(&fs, queries);
 
-    // Fleet stitch tier: 2-shard federation, wire-v5 span collection.
+    // Fleet stitch tier: 2-shard federation, wire span collection.
     let stitch = stitch_tier(&fs, queries.clamp(20, 400), fetches);
 
     let overhead = |on: Duration, off: Duration| (us(on) - us(off)) / us(off).max(1e-9) * 100.0;

@@ -291,7 +291,7 @@ pub trait RemoteQuerySystem: Send + Sync {
         )))
     }
 
-    /// The remote's current metric-registry snapshot (HACS bytes) — one
+    /// The remote's current metric-registry snapshot (HACR bytes) — one
     /// node's contribution to a federated `/fleet/metrics` scrape.
     /// Remotes without an observability plane report
     /// [`RemoteError::UnsupportedQuery`].

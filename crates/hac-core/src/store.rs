@@ -791,6 +791,9 @@ mod tests {
         wrong_version[4] = 9;
         assert!(decode_segment(&wrong_version).is_err());
         assert!(decode_segment(b"HAC").is_err());
+        // The other blob peers ship each other, a metric-registry
+        // snapshot, must never pass for a segment.
+        assert_ne!(hac_obs::snapshot().encode()[..4], SEGMENT_MAGIC);
     }
 
     #[test]

@@ -423,7 +423,7 @@ impl FedRemote {
         out
     }
 
-    /// Pulls every peer's span forest for `trace_id` (wire-v5
+    /// Pulls every peer's span forest for `trace_id` (wire
     /// `TraceSpans`) — the transport half of a stitched `/trace/<id>`
     /// view, shaped for [`hac_obs::http::FleetHooks::trace_spans`].
     pub fn fleet_trace(&self, trace_id: u64) -> Vec<hac_obs::http::PeerSpans> {
@@ -439,7 +439,7 @@ impl FedRemote {
         .collect()
     }
 
-    /// Scrapes every peer's metric registry (wire-v5 `Metrics`) — the
+    /// Scrapes every peer's metric registry (wire `Metrics`) — the
     /// transport half of a `/fleet/metrics` merge, shaped for
     /// [`hac_obs::http::FleetHooks::metrics`].
     pub fn fleet_metrics(&self) -> Vec<hac_obs::http::PeerSnapshot> {

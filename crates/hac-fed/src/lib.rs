@@ -14,7 +14,7 @@
 //!
 //! * **Placement** ([`map`]): a versioned shard map, carried in a
 //!   HACM-style binary manifest (`HACF`), fetched from any shard over
-//!   the wire-v4 `ShardMap` op so clients and coordinator always agree.
+//!   the wire `ShardMap` op so clients and coordinator always agree.
 //! * **Scatter-gather** ([`coord`]): queries fan out over the pipelined
 //!   mux client to every shard under one deadline budget; per-shard
 //!   results union by document id. A shard that misses the deadline or
@@ -24,7 +24,7 @@
 //!   poisoning state.
 //! * **Replication** ([`replica`]): read replicas follow a primary by
 //!   shipping sealed `hac-store` segments (and checkpoint snapshots) —
-//!   content-addressed objects pulled over the wire-v4
+//!   content-addressed objects pulled over the wire
 //!   `Manifest`/`Object` ops and applied via `Index::replay_segment`.
 //!   A replica serves reads while catching up and converges with no
 //!   cold reindex.

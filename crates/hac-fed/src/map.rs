@@ -182,7 +182,7 @@ impl<'a> Cursor<'a> {
 
 /// One shard's *backend*: wraps a full-corpus backend and serves only the
 /// documents placement assigns to this shard, plus the federation's shard
-/// map over the wire-v4 `ShardMap` op.
+/// map over the wire `ShardMap` op.
 ///
 /// This is the in-process partitioner `hacsh fed serve` uses: one
 /// exported tree, N shard servers, each exporting the same corpus
@@ -409,7 +409,7 @@ mod tests {
         assert!(d0.iter().all(|d| map.shard_of(&d.id) == 0));
         assert!(d1.iter().all(|d| map.shard_of(&d.id) == 1));
 
-        // Fetch is ownership-checked; the map rides the v4 hook.
+        // Fetch is ownership-checked; the map rides the `ShardMap` hook.
         let owned = &d0[0].id;
         assert!(s0.fetch(owned).is_ok());
         assert!(matches!(s1.fetch(owned), Err(RemoteError::NotFound(_))));

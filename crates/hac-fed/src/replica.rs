@@ -1,7 +1,7 @@
 //! Segment-shipped read replicas.
 //!
 //! A [`Replica`] follows one shard primary by pulling its `hac-store`
-//! manifest (wire-v4 `Manifest` op), diffing the listed segment objects
+//! manifest (wire `Manifest` op), diffing the listed segment objects
 //! against what it has already applied — **by content hash**, which
 //! survives merges and checkpoints rearranging the manifest *around* a
 //! segment — and fetching exactly the missing objects (`Object` op).
@@ -75,7 +75,7 @@ pub struct Replica {
 impl Replica {
     /// A fresh, empty replica following `source` (typically a
     /// `NetRemote` dialed at the primary, but any backend that serves
-    /// the v4 `Manifest`/`Object` ops works).
+    /// the `Manifest`/`Object` ops works).
     pub fn new(source: Arc<dyn RemoteQuerySystem>) -> Replica {
         Replica {
             ns: source.namespace(),

@@ -1,7 +1,7 @@
 //! Replication over the real wire: a store-attached `HacFs` exported via
 //! `RemoteHac` on a live `HacServer`, a [`Replica`] following it through
 //! a `NetRemote` client — manifest and segment objects shipped over the
-//! wire-v4 `Manifest`/`Object` ops. Covers the acceptance scenario:
+//! wire `Manifest`/`Object` ops. Covers the acceptance scenario:
 //! a replica (re)started against a running primary converges via segment
 //! shipping alone, serves reads during an outage, and resumes catch-up
 //! when the primary returns.

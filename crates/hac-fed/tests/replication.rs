@@ -16,7 +16,7 @@ use hac_store::{MemStore, StoreError};
 
 /// A shard primary: a live `Index` plus the `IndexStore` holding its
 /// durable trail, exported through the same trait hooks `HacServer`
-/// dispatches the wire-v4 ops to.
+/// dispatches the wire ops to.
 struct Primary {
     index: std::sync::Mutex<Index>,
     store: IndexStore,

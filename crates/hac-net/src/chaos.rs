@@ -394,7 +394,8 @@ mod tests {
     #[test]
     fn server_sheds_dribbled_connections_but_serves_healthy_ones() {
         use crate::server::{HacServer, ServerConfig};
-        use crate::wire::{self, Request, RequestBody, ResponseBody};
+        use crate::wire::{self, Request, RequestBody, ResponseBody, PROTOCOL_VERSION};
+        let version = PROTOCOL_VERSION;
 
         let server = HacServer::serve(
             "127.0.0.1:0",
@@ -427,11 +428,11 @@ mod tests {
             healthy
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
-            let ping = wire::encode_request(&Request::new(i, RequestBody::Ping { version: 1 }));
+            let ping = wire::encode_request(&Request::new(i, RequestBody::Ping { version }));
             wire::write_frame(&mut healthy, &ping).unwrap();
             let resp = wire::read_frame(&mut healthy, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
             let resp = wire::decode_response(&resp).unwrap();
-            assert_eq!(resp.body, ResponseBody::Pong { version: 1 });
+            assert_eq!(resp.body, ResponseBody::Pong { version });
             std::thread::sleep(Duration::from_millis(50));
         }
 
@@ -453,7 +454,8 @@ mod tests {
     #[test]
     fn server_sheds_connections_stalled_after_the_header() {
         use crate::server::{HacServer, ServerConfig};
-        use crate::wire::{self, Request, RequestBody, ResponseBody};
+        use crate::wire::{self, Request, RequestBody, ResponseBody, PROTOCOL_VERSION};
+        let version = PROTOCOL_VERSION;
 
         let server = HacServer::serve(
             "127.0.0.1:0",
@@ -494,11 +496,11 @@ mod tests {
         healthy
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let ping = wire::encode_request(&Request::new(2, RequestBody::Ping { version: 1 }));
+        let ping = wire::encode_request(&Request::new(2, RequestBody::Ping { version }));
         wire::write_frame(&mut healthy, &ping).unwrap();
         let resp = wire::read_frame(&mut healthy, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
         let resp = wire::decode_response(&resp).unwrap();
-        assert_eq!(resp.body, ResponseBody::Pong { version: 1 });
+        assert_eq!(resp.body, ResponseBody::Pong { version });
 
         proxy.stop();
         server.shutdown();

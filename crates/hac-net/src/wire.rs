@@ -5,75 +5,32 @@
 //! ```text
 //! ┌──────────┬──────────────┬───────────────────────────┐
 //! │ "HACN"   │ len: u32 LE  │ payload: len bytes        │
-//! │ 4 bytes  │ 4 bytes      │ serde binary codec        │
+//! │ 4 bytes  │ 4 bytes      │ request or response       │
 //! └──────────┴──────────────┴───────────────────────────┘
 //! ```
 //!
-//! The payload is a [`Request`] or [`Response`] encoded with the same
-//! self-describing binary codec the VFS snapshot format uses
-//! ([`hac_vfs::persist`]), so the workspace carries exactly one
-//! serialization scheme. Requests carry client-chosen `id`s and responses
-//! echo them, so a client may pipeline several requests on one connection
-//! and match answers out of band.
+//! HACN has one protocol version ([`PROTOCOL_VERSION`]) and one payload
+//! codec per direction:
 //!
-//! Versioning: the protocol version rides in the `ping` handshake (and in
-//! `capabilities`); a server refuses pings outside its supported range
-//! with [`WireError::VersionMismatch`] rather than guessing at frame
-//! shapes, and replies to an in-range older ping with that older version
-//! so the peer knows to speak the downgraded shape.
+//! * a [`Request`] (`id`, `body`, optional `trace` context) travels in
+//!   the self-describing binary codec the VFS snapshot format uses
+//!   ([`hac_vfs::persist`]) — requests are small, and the codec's strict
+//!   struct arity rejects any other shape;
+//! * a [`Response`] (`id`, optional `server_elapsed_us`, `body`) travels
+//!   in a fixed little-endian layout ([`encode_response_into`] /
+//!   [`decode_response_reusing`]) written and parsed with no reflection,
+//!   because a multi-hundred-doc search result is the hot payload.
 //!
-//! ## Protocol evolution (v1 → v2)
+//! Requests carry client-chosen `id`s and responses echo them, so a
+//! client may pipeline several requests on one connection and match
+//! answers out of band.
 //!
-//! v2 adds `trace` to [`Request`] and `server_elapsed_us` to [`Response`].
-//! The codec ([`hac_vfs::persist`]) enforces strict struct arity, so the
-//! new fields are *capability-gated* rather than silently defaulted: a
-//! message without them encodes in the exact v1 two-field shape
-//! (bit-for-bit what a v1 peer emits), and decoding tries the v2 shape
-//! first, then falls back to v1. A client only attaches trace context on
-//! connections whose handshake negotiated v2, so v1 peers never see a
-//! three-field frame.
-//!
-//! ## Protocol evolution (v2 → v3)
-//!
-//! v3 changes no message *semantics* — it swaps the response payload
-//! encoding for the compact fixed-layout codec
-//! ([`encode_response_compact`]/[`decode_response_compact`]), cutting the
-//! dominant serialization cost out of the hot search path (the
-//! self-describing codec spends tens of microseconds on a multi-hundred-
-//! doc response; the compact codec is a few). The upgrade is negotiated:
-//! a v3 `Ping` (and its `Pong`, still persist-coded so older peers can
-//! read the refusal/downgrade) switches the *response* direction of that
-//! connection to the compact codec for all subsequent frames. Requests
-//! keep the persist codec in every version — they are small, and keeping
-//! them self-describing preserves the one-decoder server loop. v1/v2
-//! peers never negotiate v3, so their frame shapes are untouched.
-//!
-//! ## Protocol evolution (v3 → v4)
-//!
-//! v4 adds three request operations for federation — `Manifest` and
-//! `Object` (segment-shipped replication: a replica pulls the primary's
-//! durable-index manifest, diffs it against what it has applied, and
-//! fetches exactly the missing content-addressed objects) and `ShardMap`
-//! (a `fed://` client asks any shard for the federation's placement map).
-//! The change is purely *additive*: no existing message shape moves, and
-//! every new operation answers with already-existing response bodies
-//! (`Blob` for the payload bytes, `Err` otherwise), so the v3 compact
-//! response codec covers them with no new tags. The new variants sit at
-//! the end of [`RequestBody`], so v1–v3 frames decode exactly as before;
-//! a pre-v4 server that receives one fails to decode the request and
-//! drops the connection, which is why clients only issue these ops on
-//! connections whose handshake negotiated v4.
-//!
-//! ## Protocol evolution (v4 → v5)
-//!
-//! v5 adds two request operations for the fleet observability plane —
-//! `TraceSpans` (a coordinator stitching `/trace/<id>` pulls the span
-//! forest a peer recorded for one trace id, HACT bytes) and `Metrics`
-//! (a fleet scrape pulls a peer's metric-registry snapshot, HACS
-//! bytes). Exactly like v4's additions the change is purely additive:
-//! both new ops answer with the existing `Blob`/`Err` response bodies,
-//! the new variants sit at the end of [`RequestBody`], and clients only
-//! issue them on connections whose handshake negotiated v5.
+//! Versioning: every peer is built from this workspace, so nothing is
+//! negotiated. A client opens with `Ping { version }`; the server answers
+//! `Pong` iff `version == PROTOCOL_VERSION` and otherwise refuses with
+//! [`WireError::VersionMismatch`] rather than guessing at frame shapes.
+//! The handshake changes nothing about the connection: one that never
+//! pings is served in exactly the same codecs.
 
 use std::io::{self, Read, Write};
 
@@ -82,13 +39,10 @@ use serde::{Deserialize, Serialize};
 use hac_core::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 
-/// Version of the frame payload encoding. Bump on any incompatible change
-/// to [`Request`]/[`Response`].
+/// Version of the frame payload encoding. Bump on any change to
+/// [`Request`]/[`Response`]: peers at different versions refuse each other
+/// at the handshake.
 pub const PROTOCOL_VERSION: u16 = 5;
-
-/// Oldest protocol version this build still speaks (v1 peers interoperate
-/// with tracing disabled).
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"HACN";
@@ -97,7 +51,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"HACN";
 /// or hostile length prefix allocating gigabytes).
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
-/// Trace context propagated across the wire (v2+), linking the server's
+/// Trace context propagated across the wire, linking the server's
 /// spans into the client's trace. Mirrors [`hac_obs::TraceContext`];
 /// duplicated here so the wire shape is owned by the protocol, not the
 /// observability crate.
@@ -134,13 +88,12 @@ pub struct Request {
     pub id: u64,
     /// The operation.
     pub body: RequestBody,
-    /// Trace context to continue server-side (v2+; `None` encodes in the
-    /// v1 frame shape).
+    /// Trace context to continue server-side, when the caller is traced.
     pub trace: Option<TraceContext>,
 }
 
 impl Request {
-    /// An untraced request (the v1-compatible shape).
+    /// An untraced request.
     pub fn new(id: u64, body: RequestBody) -> Self {
         Request {
             id,
@@ -174,14 +127,14 @@ pub enum RequestBody {
         /// Remote document id (opaque to HAC).
         doc: String,
     },
-    /// (v4) The namespace's durable-index manifest (HACM bytes), the root
+    /// The namespace's durable-index manifest (HACM bytes), the root
     /// of segment-shipped replication. Answered with
     /// [`ResponseBody::Blob`].
     Manifest {
         /// Target namespace.
         ns: String,
     },
-    /// (v4) One content-addressed store object by hex hash — a segment,
+    /// One content-addressed store object by hex hash — a segment,
     /// base snapshot, or path sidecar named by a previously fetched
     /// manifest. Answered with [`ResponseBody::Blob`]; the client verifies
     /// the bytes hash to `hash` before applying them.
@@ -191,7 +144,7 @@ pub enum RequestBody {
         /// Hex content hash of the object.
         hash: String,
     },
-    /// (v4) The shard map (HACF bytes) of the federation this namespace
+    /// The shard map (HACF bytes) of the federation this namespace
     /// belongs to, so clients and coordinator agree on placement.
     /// Answered with [`ResponseBody::Blob`], or `Err(NotFound)` when the
     /// namespace is not federated.
@@ -199,7 +152,7 @@ pub enum RequestBody {
         /// Target namespace (any shard of the federation).
         ns: String,
     },
-    /// (v5) The span forest this server recorded for one trace id (HACT
+    /// The span forest this server recorded for one trace id (HACT
     /// bytes) — the pull half of cross-node trace stitching. Answered
     /// with [`ResponseBody::Blob`]; an id the server never saw yields an
     /// empty forest, not an error (span rings evict).
@@ -209,7 +162,7 @@ pub enum RequestBody {
         /// The trace id whose spans are wanted.
         trace_id: u64,
     },
-    /// (v5) The server's current metric-registry snapshot (HACS bytes) —
+    /// The server's current metric-registry snapshot (HACR bytes) —
     /// one node's contribution to a federated metrics scrape. Answered
     /// with [`ResponseBody::Blob`].
     Metrics {
@@ -236,20 +189,19 @@ impl RequestBody {
 }
 
 /// One server→client message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// Echo of the request's id (0 when the request was undecodable).
     pub id: u64,
     /// The outcome.
     pub body: ResponseBody,
     /// Server-side handling time in microseconds, returned for traced
-    /// requests so the client can split wire overhead from server time
-    /// (v2+; `None` encodes in the v1 frame shape).
+    /// requests so the client can split wire overhead from server time.
     pub server_elapsed_us: Option<u64>,
 }
 
 impl Response {
-    /// An untimed response (the v1-compatible shape).
+    /// An untimed response.
     pub fn new(id: u64, body: ResponseBody) -> Self {
         Response {
             id,
@@ -260,7 +212,7 @@ impl Response {
 }
 
 /// Outcomes a server may return.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ResponseBody {
     /// Answer to [`RequestBody::Ping`].
     Pong {
@@ -284,7 +236,7 @@ pub enum ResponseBody {
 
 /// Errors that cross the wire. The transport-independent subset is
 /// [`RemoteError`]; the rest are protocol-level refusals.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The backend reported a remote error (passed through verbatim).
     Remote(RemoteError),
@@ -363,21 +315,6 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> io::Result<Vec<u8>> {
     let mut header = [0u8; 8];
     r.read_exact(&mut header)?;
-    read_frame_after_header(r, &header, max_len)
-}
-
-/// Completes [`read_frame`] when the 8-byte header was already read (the
-/// server reads the first byte separately to distinguish idle polls from
-/// stalled mid-frame reads).
-///
-/// # Errors
-///
-/// Same taxonomy as [`read_frame`].
-pub fn read_frame_after_header<R: Read>(
-    r: &mut R,
-    header: &[u8; 8],
-    max_len: u32,
-) -> io::Result<Vec<u8>> {
     if header[..4] != FRAME_MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -400,78 +337,19 @@ fn invalid(kind: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("undecodable {kind}"))
 }
 
-// The codec's strict struct arity makes wire evolution explicit: the
-// legacy two-field shapes below are what v1 peers read and write (tuples
-// and structs encode identically), and the v2 structs carry the new
-// optional third field. Encoding picks the oldest shape that loses
-// nothing; decoding tries newest first.
-
-#[derive(Serialize, Deserialize)]
-struct RequestV1 {
-    id: u64,
-    body: RequestBody,
-}
-
-#[derive(Serialize, Deserialize)]
-struct ResponseV1 {
-    id: u64,
-    body: ResponseBody,
-}
-
-/// Encodes a request payload. Untraced requests encode in the v1 frame
-/// shape, bit-for-bit what a v1 client emits.
+/// Encodes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let encoded = if req.trace.is_some() {
-        hac_vfs::persist::encode_value(req)
-    } else {
-        hac_vfs::persist::encode_value(&RequestV1 {
-            id: req.id,
-            body: req.body.clone(),
-        })
-    };
-    encoded.unwrap_or_default()
+    hac_vfs::persist::encode_value(req).unwrap_or_default()
 }
 
-/// Decodes a request payload, accepting both the v2 (traced) and v1
-/// frame shapes.
+/// Decodes a request payload.
 ///
 /// # Errors
 ///
-/// `InvalidData` when the bytes are not a valid request in any shape.
+/// `InvalidData` when the bytes are not a valid [`Request`] — the codec's
+/// strict struct arity refuses any other field count.
 pub fn decode_request(bytes: &[u8]) -> io::Result<Request> {
-    if let Ok(req) = hac_vfs::persist::decode_value::<Request>(bytes) {
-        return Ok(req);
-    }
-    let v1: RequestV1 = hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("request"))?;
-    Ok(Request::new(v1.id, v1.body))
-}
-
-/// Encodes a response payload. Responses without server timing encode in
-/// the v1 frame shape, bit-for-bit what a v1 server emits.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let encoded = if resp.server_elapsed_us.is_some() {
-        hac_vfs::persist::encode_value(resp)
-    } else {
-        hac_vfs::persist::encode_value(&ResponseV1 {
-            id: resp.id,
-            body: resp.body.clone(),
-        })
-    };
-    encoded.unwrap_or_default()
-}
-
-/// Decodes a response payload, accepting both the v2 (timed) and v1
-/// frame shapes.
-///
-/// # Errors
-///
-/// `InvalidData` when the bytes are not a valid response in any shape.
-pub fn decode_response(bytes: &[u8]) -> io::Result<Response> {
-    if let Ok(resp) = hac_vfs::persist::decode_value::<Response>(bytes) {
-        return Ok(resp);
-    }
-    let v1: ResponseV1 = hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("response"))?;
-    Ok(Response::new(v1.id, v1.body))
+    hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("request"))
 }
 
 /// Incremental HACN frame assembler for nonblocking sockets.
@@ -619,13 +497,13 @@ impl FrameDecoder {
 }
 
 // ---------------------------------------------------------------------
-// Compact response codec (protocol v3).
+// Response codec.
 //
 // A fixed-layout little-endian encoding of `Response`, written/parsed
 // with no reflection and no intermediate allocations on encode (the
 // caller supplies the output buffer). Tag bytes pin the layout:
-// changing them is a protocol version event, same as the struct shapes
-// above.
+// changing them is a protocol version event, same as the request struct
+// shapes above.
 
 const CT_PONG: u8 = 0;
 const CT_CAPABILITIES: u8 = 1;
@@ -646,10 +524,9 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Encodes a response in the compact v3 layout, appending to `out`
-/// (cleared first). Reusing one buffer across responses is the point:
+/// Encodes a response payload, appending to `out` (cleared first). Reusing one buffer across responses is the point:
 /// the hot path allocates nothing.
-pub fn encode_response_compact_into(resp: &Response, out: &mut Vec<u8>) {
+pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&resp.id.to_le_bytes());
     match resp.server_elapsed_us {
@@ -722,19 +599,19 @@ pub fn encode_response_compact_into(resp: &Response, out: &mut Vec<u8>) {
     }
 }
 
-/// [`encode_response_compact_into`] into a fresh buffer.
-pub fn encode_response_compact(resp: &Response) -> Vec<u8> {
+/// [`encode_response_into`] into a fresh buffer.
+pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_response_compact_into(resp, &mut out);
+    encode_response_into(resp, &mut out);
     out
 }
 
-struct CompactReader<'a> {
+struct ResponseReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> CompactReader<'a> {
+impl<'a> ResponseReader<'a> {
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         if self.bytes.len() - self.pos < n {
             return Err(invalid("response"));
@@ -783,18 +660,18 @@ impl<'a> CompactReader<'a> {
     }
 }
 
-/// Decodes a compact v3 response payload.
+/// Decodes a response payload.
 ///
 /// # Errors
 ///
-/// `InvalidData` when the bytes are not a valid compact response
-/// (truncated, unknown tag, trailing garbage, or invalid UTF-8).
-pub fn decode_response_compact(bytes: &[u8]) -> io::Result<Response> {
+/// `InvalidData` when the bytes are not a valid response (truncated,
+/// unknown tag, trailing garbage, or invalid UTF-8).
+pub fn decode_response(bytes: &[u8]) -> io::Result<Response> {
     let mut pool = Vec::new();
-    decode_response_compact_reusing(bytes, &mut pool)
+    decode_response_reusing(bytes, &mut pool)
 }
 
-/// Like [`decode_response_compact`], but a `Docs` body recycles `pool`:
+/// Like [`decode_response`], but a `Docs` body recycles `pool`:
 /// existing `RemoteDoc` slots (and the strings inside them) are refilled
 /// in place, and the refilled vec is moved into the returned response.
 /// Feeding the vec from one response back in for the next means
@@ -806,13 +683,10 @@ pub fn decode_response_compact(bytes: &[u8]) -> io::Result<Response> {
 ///
 /// # Errors
 ///
-/// `InvalidData` when the bytes are not a valid compact response
-/// (truncated, unknown tag, trailing garbage, or invalid UTF-8).
-pub fn decode_response_compact_reusing(
-    bytes: &[u8],
-    pool: &mut Vec<RemoteDoc>,
-) -> io::Result<Response> {
-    let mut r = CompactReader { bytes, pos: 0 };
+/// `InvalidData` when the bytes are not a valid response (truncated,
+/// unknown tag, trailing garbage, or invalid UTF-8).
+pub fn decode_response_reusing(bytes: &[u8], pool: &mut Vec<RemoteDoc>) -> io::Result<Response> {
+    let mut r = ResponseReader { bytes, pos: 0 };
     let id = r.u64()?;
     let server_elapsed_us = match r.u8()? {
         0 => None,
@@ -891,12 +765,6 @@ mod tests {
         assert_eq!(back, req);
     }
 
-    fn roundtrip_resp(resp: Response) {
-        let bytes = encode_response(&resp);
-        let back = decode_response(&bytes).unwrap();
-        assert_eq!(back, resp);
-    }
-
     #[test]
     fn requests_roundtrip() {
         roundtrip_req(Request {
@@ -930,79 +798,6 @@ mod tests {
                 doc: "/pub/a.txt".into(),
             },
         });
-    }
-
-    #[test]
-    fn responses_roundtrip() {
-        roundtrip_resp(Response {
-            id: 9,
-            server_elapsed_us: None,
-            body: ResponseBody::Pong {
-                version: PROTOCOL_VERSION,
-            },
-        });
-        roundtrip_resp(Response {
-            id: 10,
-            server_elapsed_us: None,
-            body: ResponseBody::Capabilities {
-                version: 1,
-                namespaces: vec!["a".into(), "b".into()],
-            },
-        });
-        roundtrip_resp(Response {
-            id: 11,
-            server_elapsed_us: None,
-            body: ResponseBody::Docs(vec![RemoteDoc {
-                id: "u1".into(),
-                title: "T".into(),
-            }]),
-        });
-        roundtrip_resp(Response {
-            id: 12,
-            server_elapsed_us: None,
-            body: ResponseBody::Blob(vec![0, 1, 2, 255]),
-        });
-        for err in [
-            WireError::Remote(RemoteError::Timeout),
-            WireError::Remote(RemoteError::NotFound("x".into())),
-            WireError::UnknownNamespace("zzz".into()),
-            WireError::BadRequest("nope".into()),
-            WireError::VersionMismatch {
-                server: 1,
-                client: 2,
-            },
-        ] {
-            roundtrip_resp(Response {
-                id: 13,
-                server_elapsed_us: None,
-                body: ResponseBody::Err(err),
-            });
-        }
-    }
-
-    #[test]
-    fn untraced_messages_encode_in_the_v1_shape() {
-        // What a v1 peer writes: a two-field struct. Tuples and structs
-        // share an encoding, so a tuple stands in for the old struct.
-        let body = RequestBody::Search {
-            ns: "web".into(),
-            query: ContentExpr::term("x"),
-        };
-        let v1_bytes = hac_vfs::persist::encode_value(&(7u64, body.clone())).unwrap();
-        assert_eq!(
-            encode_request(&Request::new(7, body.clone())),
-            v1_bytes,
-            "untraced request must be bit-for-bit v1"
-        );
-        // And v1 bytes decode on a v2 peer, trace-less.
-        let decoded = decode_request(&v1_bytes).unwrap();
-        assert_eq!(decoded, Request::new(7, body));
-
-        let rbody = ResponseBody::Blob(vec![1, 2, 3]);
-        let v1_bytes = hac_vfs::persist::encode_value(&(9u64, rbody.clone())).unwrap();
-        assert_eq!(encode_response(&Response::new(9, rbody.clone())), v1_bytes);
-        let decoded = decode_response(&v1_bytes).unwrap();
-        assert_eq!(decoded, Response::new(9, rbody));
     }
 
     #[test]
@@ -1072,22 +867,25 @@ mod tests {
     }
 
     #[test]
-    fn garbled_payload_decodes_to_error_not_panic() {
-        let payload = encode_response(&Response {
+    fn garbled_request_decodes_to_error_not_panic() {
+        let payload = encode_request(&Request {
             id: 5,
-            server_elapsed_us: None,
-            body: ResponseBody::Docs(vec![RemoteDoc {
-                id: "a".into(),
-                title: "b".into(),
-            }]),
+            trace: Some(TraceContext {
+                trace_id: 1,
+                span_id: 2,
+            }),
+            body: RequestBody::Fetch {
+                ns: "a".into(),
+                doc: "b".into(),
+            },
         });
         for i in 0..payload.len() {
             let mut garbled = payload.clone();
             garbled[i] ^= 0xFF;
             // Any outcome is fine except a panic; most flips must fail.
-            let _ = decode_response(&garbled);
+            let _ = decode_request(&garbled);
         }
-        assert!(decode_response(&[]).is_err());
+        assert!(decode_request(&[]).is_err());
         assert!(decode_request(b"garbage").is_err());
     }
 
@@ -1160,7 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_codec_roundtrips_every_body_shape() {
+    fn responses_roundtrip_in_every_body_shape() {
         let bodies = vec![
             ResponseBody::Pong { version: 3 },
             ResponseBody::Capabilities {
@@ -1199,8 +997,8 @@ mod tests {
                     body: body.clone(),
                     server_elapsed_us: elapsed,
                 };
-                encode_response_compact_into(&resp, &mut buf);
-                assert_eq!(decode_response_compact(&buf).unwrap(), resp);
+                encode_response_into(&resp, &mut buf);
+                assert_eq!(decode_response(&buf).unwrap(), resp);
             }
         }
     }
@@ -1214,7 +1012,7 @@ mod tests {
             })
             .collect();
         let resp = Response::new(9, ResponseBody::Docs(docs));
-        let buf = encode_response_compact(&resp);
+        let buf = encode_response(&resp);
 
         // Pool longer than the response, with stale oversized strings: the
         // surviving slots must be refilled in place (same heap buffers).
@@ -1225,7 +1023,7 @@ mod tests {
             })
             .collect();
         let before: Vec<*const u8> = pool.iter().take(8).map(|d| d.id.as_ptr()).collect();
-        let got = decode_response_compact_reusing(&buf, &mut pool).unwrap();
+        let got = decode_response_reusing(&buf, &mut pool).unwrap();
         assert_eq!(got, resp);
         assert!(pool.is_empty(), "pool vec moves into the response");
         let ResponseBody::Docs(out) = &got.body else {
@@ -1239,13 +1037,10 @@ mod tests {
             id: "x".into(),
             title: "y".into(),
         }];
-        assert_eq!(
-            decode_response_compact_reusing(&buf, &mut small).unwrap(),
-            resp
-        );
+        assert_eq!(decode_response_reusing(&buf, &mut small).unwrap(), resp);
 
         // Non-docs bodies leave the pool alone.
-        let pong = encode_response_compact(&Response::new(
+        let pong = encode_response(&Response::new(
             1,
             ResponseBody::Pong {
                 version: PROTOCOL_VERSION,
@@ -1255,15 +1050,15 @@ mod tests {
             id: "keep".into(),
             title: "me".into(),
         }];
-        decode_response_compact_reusing(&pong, &mut untouched).unwrap();
+        decode_response_reusing(&pong, &mut untouched).unwrap();
         assert_eq!(untouched.len(), 1);
         assert_eq!(untouched[0].id, "keep");
     }
 
     #[test]
-    fn compact_codec_rejects_garbage() {
-        assert!(decode_response_compact(&[]).is_err());
-        let good = encode_response_compact(&Response::new(
+    fn response_codec_rejects_garbage() {
+        assert!(decode_response(&[]).is_err());
+        let good = encode_response(&Response::new(
             7,
             ResponseBody::Docs(vec![RemoteDoc {
                 id: "a".into(),
@@ -1272,21 +1067,21 @@ mod tests {
         ));
         for cut in 0..good.len() {
             assert!(
-                decode_response_compact(&good[..cut]).is_err(),
+                decode_response(&good[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }
         let mut trailing = good.clone();
         trailing.push(0);
         assert!(
-            decode_response_compact(&trailing).is_err(),
+            decode_response(&trailing).is_err(),
             "trailing garbage must fail"
         );
         for i in 0..good.len() {
             let mut garbled = good.clone();
             garbled[i] ^= 0xFF;
             // Any outcome but a panic is fine.
-            let _ = decode_response_compact(&garbled);
+            let _ = decode_response(&garbled);
         }
     }
 

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use hac_core::remote::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem};
 use hac_index::ContentExpr;
-use hac_net::wire::{self, Request, RequestBody, ResponseBody};
+use hac_net::wire::{self, Request, RequestBody, ResponseBody, PROTOCOL_VERSION};
 use hac_net::{HacServer, ServerConfig};
 
 struct TinyBackend;
@@ -41,6 +41,7 @@ fn soak_one_thousand_concurrent_connections_are_all_served() {
     assert!(got >= 2200, "nofile limit too low for the soak: {got}");
 
     const CONNS: usize = 1000;
+    let version = PROTOCOL_VERSION;
     let server = HacServer::serve(
         "127.0.0.1:0",
         vec![Arc::new(TinyBackend)],
@@ -67,7 +68,7 @@ fn soak_one_thousand_concurrent_connections_are_all_served() {
     // Phase 2: write every request before reading any response, so the
     // loop sees a thousand readable sockets in the same few cycles.
     for (i, conn) in conns.iter_mut().enumerate() {
-        let ping = wire::encode_request(&Request::new(i as u64, RequestBody::Ping { version: 1 }));
+        let ping = wire::encode_request(&Request::new(i as u64, RequestBody::Ping { version }));
         wire::write_frame(conn, &ping).unwrap_or_else(|e| panic!("write on conn #{i} failed: {e}"));
         conn.flush().unwrap();
     }
@@ -78,7 +79,7 @@ fn soak_one_thousand_concurrent_connections_are_all_served() {
             .unwrap_or_else(|e| panic!("read on conn #{i} failed: {e}"));
         let resp = wire::decode_response(&payload).unwrap();
         assert_eq!(resp.id, i as u64, "conn #{i} got someone else's response");
-        assert_eq!(resp.body, ResponseBody::Pong { version: 1 });
+        assert_eq!(resp.body, ResponseBody::Pong { version });
     }
 
     // Phase 4: a second round over the same (now long-lived) sockets —

@@ -8,12 +8,16 @@
 //! network layer must never turn a socket failure into corrupted semdir
 //! state.
 
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hac_core::{HacFs, NamespaceId, RemoteQuerySystem};
+use hac_core::{HacFs, NamespaceId, RemoteError, RemoteQuerySystem};
 use hac_index::ContentExpr;
-use hac_net::{ChaosMode, ChaosProxy, ClientConfig, HacServer, NetRemote, ServerConfig};
+use hac_net::wire::{self, Request, RequestBody, Response, ResponseBody, WireError};
+use hac_net::{
+    ChaosMode, ChaosProxy, ClientConfig, HacServer, NetRemote, ServerConfig, PROTOCOL_VERSION,
+};
 use hac_remote::{RemoteHac, WebSearchSim};
 use hac_vfs::VPath;
 
@@ -264,7 +268,7 @@ fn unknown_namespace_fails_fast_without_retry() {
     let client = NetRemote::connect("absent", &server.local_addr().to_string(), fast_retry());
     let err = client.search(&ContentExpr::All).unwrap_err();
     assert!(
-        matches!(err, hac_core::RemoteError::Unavailable(_)),
+        matches!(err, RemoteError::Unavailable(_)),
         "unknown namespace maps to Unavailable, got {err:?}"
     );
     // Fatal errors must not burn retries: no retry counter for this ns.
@@ -276,4 +280,110 @@ fn unknown_namespace_fails_fast_without_retry() {
         .unwrap_or(0);
     assert_eq!(retries, 0, "fatal errors must not burn retries");
     server.shutdown();
+}
+
+/// Sends one raw payload as a frame and decodes the answer with the one
+/// response decoder.
+fn raw_ask(conn: &mut TcpStream, payload: &[u8]) -> Response {
+    wire::write_frame(conn, payload).unwrap();
+    let bytes = wire::read_frame(conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
+    wire::decode_response(&bytes).unwrap()
+}
+
+#[test]
+fn one_version_and_one_codec_per_direction() {
+    let server = HacServer::serve(
+        "127.0.0.1:0",
+        vec![Arc::new(WebSearchSim::new("contract"))],
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let dial = || {
+        let conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        conn
+    };
+
+    // A connection that never pings is answered in the response codec.
+    let mut conn = dial();
+    let caps = wire::encode_request(&Request::new(1, RequestBody::Capabilities));
+    assert_eq!(
+        raw_ask(&mut conn, &caps).body,
+        ResponseBody::Capabilities {
+            version: PROTOCOL_VERSION,
+            namespaces: vec!["contract".to_string()],
+        }
+    );
+
+    // The old two-field request shape (tuples and structs encode alike)
+    // is refused, not silently accepted — and the connection survives.
+    let old_shape = hac_vfs::persist::encode_value(&(2u64, RequestBody::Capabilities)).unwrap();
+    let refused = raw_ask(&mut conn, &old_shape);
+    assert_eq!(refused.id, 0);
+    assert!(matches!(
+        refused.body,
+        ResponseBody::Err(WireError::BadRequest(_))
+    ));
+    assert!(matches!(
+        raw_ask(&mut conn, &caps).body,
+        ResponseBody::Capabilities { .. }
+    ));
+
+    // A first frame announcing any other version is refused, in the same
+    // response codec as everything else.
+    for version in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        let ping = wire::encode_request(&Request::new(3, RequestBody::Ping { version }));
+        assert_eq!(
+            raw_ask(&mut dial(), &ping).body,
+            ResponseBody::Err(WireError::VersionMismatch {
+                server: PROTOCOL_VERSION,
+                client: version,
+            })
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn a_server_at_another_version_fails_the_client_fast() {
+    // A peer one version ahead: refuses every ping it is sent, and counts
+    // them.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let mut pings = 0;
+        while let Ok(bytes) = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN) {
+            let req = wire::decode_request(&bytes).unwrap();
+            let RequestBody::Ping { version } = req.body else {
+                panic!("a refused client must send nothing but the handshake ping");
+            };
+            pings += 1;
+            let refusal = ResponseBody::Err(WireError::VersionMismatch {
+                server: PROTOCOL_VERSION + 1,
+                client: version,
+            });
+            let payload = wire::encode_response(&Response::new(req.id, refusal));
+            wire::write_frame(&mut conn, &payload).unwrap();
+        }
+        pings
+    });
+
+    let mut config = fast_retry();
+    config.retry.max_attempts = 4;
+    let client = NetRemote::connect("ahead", &addr, config);
+    let err = client.search(&ContentExpr::All).unwrap_err();
+    assert!(
+        matches!(&err, RemoteError::Unavailable(m) if m.contains("version mismatch")),
+        "got {err:?}"
+    );
+    let retries = hac_obs::snapshot()
+        .counter_value(
+            "hac_net_retries_total",
+            &[("ns", "ahead"), ("op", "search")],
+        )
+        .unwrap_or(0);
+    assert_eq!(retries, 0, "a version refusal must not be retried");
+    drop(client);
+    assert_eq!(peer.join().unwrap(), 1, "one handshake ping, no loop");
 }

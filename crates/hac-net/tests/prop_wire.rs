@@ -7,8 +7,7 @@ use proptest::prelude::*;
 use hac_core::remote::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 use hac_net::wire::{
-    self, Request, RequestBody, Response, ResponseBody, TraceContext, WireError,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    self, Request, RequestBody, Response, ResponseBody, TraceContext, WireError, PROTOCOL_VERSION,
 };
 
 fn trace_strategy() -> impl Strategy<Value = Option<TraceContext>> {
@@ -143,10 +142,11 @@ proptest! {
     #[test]
     fn corrupted_payload_bytes_never_panic(
         body in request_strategy(),
+        trace in trace_strategy(),
         flip_at in any::<usize>(),
         xor in 1u8..255,
     ) {
-        let req = Request::new(9, body);
+        let req = Request { id: 9, body, trace };
         let mut payload = wire::encode_request(&req);
         let at = flip_at % payload.len().max(1);
         if let Some(b) = payload.get_mut(at) {
@@ -226,30 +226,42 @@ proptest! {
         prop_assert!(decoder.is_poisoned());
     }
 
-    /// Every response shape survives the compact (v3) codec bit-for-bit,
-    /// exactly as it survives the persist codec.
+    /// The request codec's strict struct arity is the whole shape check:
+    /// the same id and body in the old two-field layout (tuples and
+    /// structs encode alike) must be refused, never silently accepted.
     #[test]
-    fn compact_codec_roundtrips_every_response(
-        id in any::<u64>(),
+    fn two_field_requests_are_refused(id in any::<u64>(), body in request_strategy()) {
+        let old_shape = hac_vfs::persist::encode_value(&(id, body)).unwrap();
+        prop_assert!(wire::decode_request(&old_shape).is_err());
+    }
+
+    /// Hostile response bytes fail closed: every truncation and any
+    /// trailing byte is an error, and a flipped byte never panics.
+    #[test]
+    fn damaged_responses_error_instead_of_panicking(
         body in response_strategy(),
         timed in any::<bool>(),
-        elapsed in any::<u64>(),
+        cut in any::<usize>(),
+        flip_at in any::<usize>(),
+        xor in 1u8..255,
     ) {
-        let resp = Response { id, body, server_elapsed_us: timed.then_some(elapsed) };
-        let bytes = wire::encode_response_compact(&resp);
-        let back = wire::decode_response_compact(&bytes).unwrap();
-        prop_assert_eq!(back, resp);
+        let resp = Response { id: 3, body, server_elapsed_us: timed.then_some(17) };
+        let good = wire::encode_response(&resp);
+        prop_assert!(wire::decode_response(&good[..cut % good.len()]).is_err());
+        let mut trailing = good.clone();
+        trailing.push(xor);
+        prop_assert!(wire::decode_response(&trailing).is_err());
+        let mut flipped = good;
+        let at = flip_at % flipped.len();
+        flipped[at] ^= xor;
+        let _ = wire::decode_response(&flipped);
     }
 }
 
 #[test]
 fn version_constant_is_stable() {
-    // Bumping the protocol version is a compatibility event; this test
-    // makes it a conscious one. v3 introduced the compact response codec
-    // (negotiated per connection; v1/v2 peers never see it); v4 added the
-    // federation ops (`Manifest`/`Object`/`ShardMap`), additive request
-    // variants answered with pre-existing response bodies; v5 added the
-    // fleet observability ops (`TraceSpans`/`Metrics`) the same way.
+    // Bumping the protocol version is a compatibility event — peers at
+    // different versions refuse each other — so this test makes it a
+    // conscious one.
     assert_eq!(PROTOCOL_VERSION, 5);
-    assert_eq!(MIN_PROTOCOL_VERSION, 1);
 }

@@ -636,14 +636,16 @@ impl Snapshot {
     }
 }
 
-/// Snapshot wire magic (wire-v5 `Metrics` payloads).
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HACS";
+/// Snapshot wire magic (wire `Metrics` payloads). `HACR`, for *registry*:
+/// `HACS` is `hac-core`'s on-disk segment magic, and no two formats may
+/// share one.
+pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HACR";
 /// Current snapshot wire format version.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
 impl Snapshot {
     /// Serializes the snapshot into the versioned binary layout the
-    /// wire-v5 `Metrics` op ships between nodes: counters, gauges, and
+    /// wire `Metrics` op ships between nodes: counters, gauges, and
     /// histograms (with exemplars), plus registered help text. The
     /// layout follows the shard map's idiom — magic and version up
     /// front, strict arity, loud failures.

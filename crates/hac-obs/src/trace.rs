@@ -289,7 +289,7 @@ pub const SPANS_MAGIC: [u8; 4] = *b"HACT";
 pub const SPANS_VERSION: u8 = 1;
 
 /// Serializes recorded events into the versioned binary layout the
-/// wire-v5 `TraceSpans` op ships between nodes. The encoding is
+/// wire `TraceSpans` op ships between nodes. The encoding is
 /// hand-rolled (magic + version up front, strict arity) for the same
 /// reason the shard map's is: a peer at a different build must fail
 /// loudly, not decode positionally into garbage.

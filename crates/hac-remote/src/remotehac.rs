@@ -110,7 +110,7 @@ impl RemoteQuerySystem for RemoteHac {
 
     /// Serves the exported file system's durable index manifest, making a
     /// store-attached export a shard primary that read replicas can
-    /// follow by segment shipping (wire-v4 `Manifest` op).
+    /// follow by segment shipping (wire `Manifest` op).
     fn manifest_bytes(&self) -> Result<Vec<u8>, RemoteError> {
         crate::observed(&self.ns, "manifest", || {
             let store = self.fs.store().ok_or_else(|| {
@@ -121,7 +121,7 @@ impl RemoteQuerySystem for RemoteHac {
     }
 
     /// Serves one content-addressed store object (base snapshot, segment,
-    /// or paths sidecar) by hex hash (wire-v4 `Object` op).
+    /// or paths sidecar) by hex hash (wire `Object` op).
     fn object_bytes(&self, hash: &str) -> Result<Vec<u8>, RemoteError> {
         crate::observed(&self.ns, "object", || {
             let store = self.fs.store().ok_or_else(|| {
@@ -135,7 +135,7 @@ impl RemoteQuerySystem for RemoteHac {
         })
     }
 
-    /// Serves this process's recorded spans for one trace id (wire-v5
+    /// Serves this process's recorded spans for one trace id (wire
     /// `TraceSpans` op), letting a coordinator stitch the spans a
     /// federated query left here into its own `/trace/<id>` view. Spans
     /// live in the process-wide rings — the wire server dispatched the
@@ -151,7 +151,7 @@ impl RemoteQuerySystem for RemoteHac {
         })
     }
 
-    /// Serves this process's current metric-registry snapshot (wire-v5
+    /// Serves this process's current metric-registry snapshot (wire
     /// `Metrics` op) — one node's contribution to a `/fleet/metrics`
     /// scrape.
     fn metrics_bytes(&self) -> Result<Vec<u8>, RemoteError> {

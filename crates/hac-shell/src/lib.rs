@@ -942,7 +942,7 @@ impl Shell {
             // federation: dial the primary, catch up once (so the first
             // failover read is warm), register as a failover target,
             // then keep following in the background. The replica speaks
-            // the v5 obs ops too, so fleet scrapes stay complete with
+            // the obs ops too, so fleet scrapes stay complete with
             // it in the peer set.
             [word, idx] if word == "follow" => {
                 let fed = self

@@ -125,7 +125,7 @@ fn fed_follow_attaches_a_replica_that_joins_failover_and_fleet_scrapes() {
     assert!(status.contains("replicas 1"), "{status}");
 
     // The replica is a fleet peer in its own right, and it speaks the
-    // v5 obs ops — so a scatter-scrape over primaries AND the replica
+    // obs ops — so a scatter-scrape over primaries AND the replica
     // still comes back complete (3 peers, none down, not partial).
     let stats = client.exec("fleet stats").unwrap();
     assert!(

@@ -4,10 +4,10 @@
 //! query, and the coordinator's obs endpoint then proves the tentpole:
 //!
 //! * `/trace/<id>` stitches spans pulled from BOTH shard processes
-//!   (wire-v5 `TraceSpans`) under the coordinator's request span, each
+//!   (wire `TraceSpans`) under the coordinator's request span, each
 //!   tagged with its node label;
 //! * `/fleet/metrics` merges ≥ 2 peer registries with `node` labels
-//!   (wire-v5 `Metrics`);
+//!   (wire `Metrics`);
 //! * killing one shard degrades both endpoints — and `fed status` /
 //!   `fleet stats` — to explicitly-partial output, never an error
 //!   (the PR-9 partial-result contract).
