@@ -1,4 +1,4 @@
-//! Runs every table at default scale (what `bench_output.txt` records).
+//! Runs every table at default scale (what EXPERIMENTS.md records).
 //!
 //! `cargo run -p hac-bench --release --bin all_tables`
 

@@ -8,10 +8,11 @@
 //! * [`tables`] — runners producing each table's rows.
 //!
 //! Binaries (`cargo run -p hac-bench --release --bin <name>`):
-//! `table1`, `table2`, `table3`, `table4`, `overheads`, `all_tables`,
-//! `reindex` (pipeline throughput: cold/warm/incremental passes →
-//! `BENCH_reindex.json`). Scale knobs are flags, e.g. `--files 17000`
-//! for the paper-scale Table 3; defaults are laptop-sized.
+//! `table1`, `table2`, `table3`, `table4`, `overheads`, `all_tables`.
+//! Scale knobs are flags, e.g. `--files 17000` for the paper-scale
+//! Table 3; defaults are laptop-sized. Performance of the layers beyond
+//! the paper (store, wire, federation, tracing) is measured by the
+//! separate end-to-end benchmark package under `bench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +33,6 @@ pub fn arg_usize(name: &str, default: usize) -> usize {
         }
     }
     default
-}
-
-/// Whether a bare `--flag` is present.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
 }
 
 /// Parses `--name value` from the command line as a string.
@@ -64,7 +60,7 @@ pub fn dump_metrics_snapshot(bin: &str) -> std::io::Result<std::path::PathBuf> {
 }
 
 /// Calls [`dump_metrics_snapshot`] and reports the result on stdout/stderr
-/// (shared tail of every bench binary).
+/// (shared tail of every table binary).
 pub fn report_metrics_snapshot(bin: &str) {
     match dump_metrics_snapshot(bin) {
         Ok(path) => println!("\nmetrics snapshot: {}", path.display()),
@@ -78,6 +74,6 @@ mod tests {
     fn arg_parsers_fall_back_to_defaults() {
         // The test binary's args don't contain our flags.
         assert_eq!(super::arg_usize("definitely-not-set", 7), 7);
-        assert!(!super::arg_flag("definitely-not-set"));
+        assert_eq!(super::arg_str("definitely-not-set"), None);
     }
 }

@@ -694,6 +694,18 @@ impl HacState {
                     }
                 }
                 NodeKind::Symlink => {
+                    // A link HAC manages names its target by inode, so the
+                    // scope survives a rename of the target before the next
+                    // `ssync` repairs the stored path (§2.3).
+                    if let Some(LinkTarget::Local(fid)) =
+                        sd.links.get(&entry.name).map(|s| &s.target)
+                    {
+                        let doc = Self::doc(*fid);
+                        if self.index.is_indexed(doc) && vfs.path_of(*fid).is_ok() {
+                            scope.local.insert(doc);
+                        }
+                        continue;
+                    }
                     let Ok(link_path) = dir_path.join(&entry.name) else {
                         continue;
                     };
@@ -967,7 +979,7 @@ impl HacState {
         let dir_path = vfs.path_of(dir)?;
         let _span =
             hac_obs::current_trace().map(|_| hac_obs::span!("semdir_resync", dir = dir_path));
-        hac_obs::counter("hac_semdir_reeval_total", &[("dir", &dir_path.to_string())]).inc();
+        hac_obs::counter("hac_semdir_reeval_total", &[]).inc();
         let parent_path = dir_path.parent().unwrap_or_else(VPath::root);
         let parent = vfs.resolve_nofollow(&parent_path)?;
         let universe = self.scope_provided(vfs, parent);
@@ -1655,6 +1667,31 @@ mod tests {
         assert_eq!(sanitize_name("A paper (1999)"), "A_paper__1999");
         assert_eq!(sanitize_name("///"), "remote");
         assert_eq!(sanitize_name("ok-name.txt"), "ok-name.txt");
+    }
+
+    #[test]
+    fn parallel_tokenize_matches_one_thread_in_plan_order() {
+        let vfs = Vfs::new();
+        let registry = TransducerRegistry::new();
+        let state = HacState::new(HacConfig::default());
+        let p = |s: &str| VPath::parse(s).unwrap();
+        vfs.mkdir_p(&p("/d")).unwrap();
+        for i in 0..40 {
+            vfs.save(
+                &p(&format!("/d/f{i:02}.txt")),
+                format!("word{i} shared").as_bytes(),
+            )
+            .unwrap();
+        }
+        let plan = state.plan_sync(&vfs, &p("/"));
+        let key = |docs: Vec<TokenizedDoc>| -> Vec<(VPath, DocId, Vec<Token>)> {
+            docs.into_iter()
+                .map(|d| (d.path, d.delta.doc, d.delta.tokens))
+                .collect()
+        };
+        let one = key(tokenize_plan(&vfs, &registry, &plan, 1));
+        assert_eq!(one.len(), 40);
+        assert_eq!(key(tokenize_plan(&vfs, &registry, &plan, 4)), one);
     }
 
     #[test]

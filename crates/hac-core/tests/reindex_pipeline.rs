@@ -12,8 +12,9 @@
 //!   served from the query-result cache.
 //!
 //! The hac-obs registry is process-global and tests run in parallel, so
-//! every assertion is a delta against a pre-test snapshot and every
-//! per-directory counter uses paths unique to its test.
+//! every assertion is a delta against a pre-test snapshot, and which
+//! directories an operation re-evaluated is read from that operation's
+//! own trace.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -34,6 +35,22 @@ fn counter_delta(
     labels: &[(&str, &str)],
 ) -> u64 {
     after.counter_value(name, labels).unwrap_or(0) - before.counter_value(name, labels).unwrap_or(0)
+}
+
+/// Runs `f` under a root span and returns the `dir` field of every
+/// `semdir_resync` span of that trace, read back from the event ring.
+fn resynced_dirs<T>(f: impl FnOnce() -> T) -> (T, Vec<String>) {
+    let root = hac_obs::span!("test_root");
+    let trace = root.context().expect("tracing is on").trace_id;
+    let out = f();
+    drop(root);
+    let dirs = hac_obs::recent_events()
+        .into_iter()
+        .filter(|e| e.trace_id == Some(trace) && e.name == "semdir_resync")
+        .filter_map(|e| e.fields.into_iter().find(|(k, _)| k == "dir"))
+        .map(|(_, dir)| dir)
+        .collect();
+    (out, dirs)
 }
 
 #[test]
@@ -103,13 +120,12 @@ fn dirty_doc_reevaluates_exactly_matching_semdir_and_dependents() {
     fs.write_file(&p("/precise/docs/target.txt"), b"alpha plain filler words")
         .unwrap();
     let before = hac_obs::snapshot();
-    let report = fs.ssync(&p("/")).unwrap();
+    let (report, resynced) = resynced_dirs(|| fs.ssync(&p("/")).unwrap());
     let after = hac_obs::snapshot();
 
     assert_eq!(report.updated, 1);
     assert_eq!(report.dirs_synced, 2, "exactly {{A, B}} must re-evaluate");
-    let reevals =
-        |dir: &str| counter_delta(&before, &after, "hac_semdir_reeval_total", &[("dir", dir)]);
+    let reevals = |dir: &str| resynced.iter().filter(|d| *d == dir).count();
     assert_eq!(reevals("/precise/a"), 1, "A matches the dirty term");
     assert_eq!(reevals("/precise/b"), 1, "B is A's dependent");
     assert_eq!(reevals("/precise/c"), 0, "C must be skipped");
@@ -225,16 +241,13 @@ fn cascade_reuses_cached_results_on_unchanged_generation() {
     // Renaming an unrelated file cascades a dependent resync through the
     // semdir's scope anchor, but neither the index generation nor the
     // scope's doc set moved — the raw result must come from the cache.
-    fs.rename(&p("/cache/docs/other.txt"), &p("/cache/docs/other2.txt"))
-        .unwrap();
+    let ((), resynced) = resynced_dirs(|| {
+        fs.rename(&p("/cache/docs/other.txt"), &p("/cache/docs/other2.txt"))
+            .unwrap()
+    });
     let after = hac_obs::snapshot();
     assert!(
-        counter_delta(
-            &mid,
-            &after,
-            "hac_semdir_reeval_total",
-            &[("dir", "/cache/memos")],
-        ) >= 1,
+        resynced.iter().any(|d| d == "/cache/memos"),
         "rename under the scope must cascade to the semdir"
     );
     assert!(

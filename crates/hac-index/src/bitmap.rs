@@ -8,8 +8,8 @@
 //!
 //! [`DenseBitmap`] is that N/8-byte representation; [`SparseBitmap`] is the
 //! promised sparse alternative (a sorted id list). [`Bitmap`] unifies them so
-//! the rest of the system is representation-agnostic, and an ablation bench
-//! compares the two.
+//! the rest of the system is representation-agnostic (`HacConfig::sparse_results`
+//! chooses which one semantic directories keep).
 
 use serde::{Deserialize, Serialize};
 

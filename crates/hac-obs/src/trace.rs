@@ -11,8 +11,8 @@
 //!
 //! Tracing is a process-wide toggle ([`set_tracing_enabled`]); when off,
 //! spans still feed the duration histograms but mint no ids, push no
-//! events, and touch no thread-local state — the shape the
-//! `hac-bench trace` binary measures.
+//! events, and touch no thread-local state — the untraced side of the
+//! end-to-end benchmark's `obs.tracing_overhead_pct` metrics.
 //!
 //! Assembly is ring-based: [`assemble`] walks a set of recorded
 //! [`Event`]s and rebuilds the span tree for one trace id from the
