@@ -231,10 +231,7 @@ impl HacFs {
         }
         state.index_file(&self.vfs, &self.registry, path, id);
         let roots = self.ancestor_uids(&state, path);
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -269,10 +266,7 @@ impl HacFs {
             }
         }
         let roots = self.ancestor_uids(&state, path);
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(id)
     }
 
@@ -311,10 +305,7 @@ impl HacFs {
         }
         self.vfs.unlink(path)?;
         let roots = self.ancestor_uids(&state, path);
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -325,10 +316,7 @@ impl HacFs {
         let mut state = self.state.write();
         self.forget_dir(&mut state, id);
         let roots = self.ancestor_uids(&state, path);
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -349,10 +337,7 @@ impl HacFs {
         }
         self.vfs.remove_recursive(path)?;
         let roots = self.ancestor_uids(&state, path);
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -462,15 +447,13 @@ impl HacFs {
                 }
                 // The moved directories' scopes changed with their anchors:
                 // re-evaluate them (dependency order) before dependents.
-                if state.config.auto_scope_sync {
-                    let uids: Vec<_> = moved_semdirs
-                        .iter()
-                        .map(|d| state.uids.uid_for(*d))
-                        .collect();
-                    for uid in state.graph.full_order(uids) {
-                        if let Some(dir) = state.uids.dir_of(uid) {
-                            state.resync_dir(&self.vfs, &self.registry, dir)?;
-                        }
+                let uids: Vec<_> = moved_semdirs
+                    .iter()
+                    .map(|d| state.uids.uid_for(*d))
+                    .collect();
+                for uid in state.graph.full_order(uids) {
+                    if let Some(dir) = state.uids.dir_of(uid) {
+                        state.resync_dir(&self.vfs, &self.registry, dir)?;
                     }
                 }
             }
@@ -481,10 +464,7 @@ impl HacFs {
         if let Some(uid) = state.uids.get_uid(attr.id) {
             roots.push(uid);
         }
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -561,10 +541,7 @@ impl HacFs {
             .query = query;
         state.resync_dir(&self.vfs, &self.registry, dir)?;
         let uid = state.uids.uid_for(dir);
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, [uid])?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, [uid])?;
         Ok(())
     }
 
@@ -694,10 +671,7 @@ impl HacFs {
         if let Some(uid) = state.uids.get_uid(dir) {
             roots.push(uid);
         }
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -727,10 +701,7 @@ impl HacFs {
         if let Some(uid) = state.uids.get_uid(dir) {
             roots.push(uid);
         }
-        state.note_structural_change();
-        if state.config.auto_scope_sync {
-            state.resync_dependents(&self.vfs, &self.registry, roots)?;
-        }
+        state.resync_dependents(&self.vfs, &self.registry, roots)?;
         Ok(())
     }
 
@@ -878,12 +849,9 @@ impl HacFs {
         let removed = sd.prohibited.remove(target);
         if removed {
             state.persist_dir(&self.vfs, dir);
-            state.note_structural_change();
-            if state.config.auto_scope_sync {
-                state.resync_dir(&self.vfs, &self.registry, dir)?;
-                let uid = state.uids.uid_for(dir);
-                state.resync_dependents(&self.vfs, &self.registry, [uid])?;
-            }
+            state.resync_dir(&self.vfs, &self.registry, dir)?;
+            let uid = state.uids.uid_for(dir);
+            state.resync_dependents(&self.vfs, &self.registry, [uid])?;
         }
         Ok(removed)
     }

@@ -187,27 +187,6 @@ pub trait RemoteQuerySystem: Send + Sync {
     /// namespace when a refresh fails.
     fn search(&self, query: &ContentExpr) -> Result<Vec<RemoteDoc>, RemoteError>;
 
-    /// Evaluates a content query, depositing the results in `out`.
-    ///
-    /// The default simply delegates to [`RemoteQuerySystem::search`].
-    /// Implementations that materialize results from a serialized form
-    /// (e.g. a network client decoding a response) can override this to
-    /// recycle `out`'s existing allocations, so steady-state polling of a
-    /// namespace allocates nothing per refresh.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RemoteQuerySystem::search`]. On error the contents of
-    /// `out` are unspecified (but valid).
-    fn search_into(
-        &self,
-        query: &ContentExpr,
-        out: &mut Vec<RemoteDoc>,
-    ) -> Result<(), RemoteError> {
-        *out = self.search(query)?;
-        Ok(())
-    }
-
     /// Fetches a remote document's content (for `sact` and browsing).
     ///
     /// # Errors

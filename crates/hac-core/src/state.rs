@@ -95,10 +95,6 @@ pub fn decode_target(s: &str) -> Option<LinkTarget> {
 pub struct HacConfig {
     /// Index granularity for the CBA mechanism.
     pub granularity: Granularity,
-    /// Restore scope consistency immediately after structural mutations
-    /// (the paper removes scope inconsistencies "as soon as possible").
-    /// Disable only for bulk loads followed by one `ssync`.
-    pub auto_scope_sync: bool,
     /// Index file content eagerly on create/write/unlink instead of waiting
     /// for the next reindex. The paper's default is lazy (§2.4); eager mode
     /// is the "update certain semantic directories as soon as new mail
@@ -130,7 +126,6 @@ impl Default for HacConfig {
     fn default() -> Self {
         HacConfig {
             granularity: Granularity::default(),
-            auto_scope_sync: true,
             eager_content_index: false,
             sparse_results: false,
             reindex_threads: 0,
@@ -382,10 +377,9 @@ pub struct HacState {
     pub doc_paths: DocPathMap,
     /// Per-directory cached raw query results.
     pub result_cache: HashMap<FileId, CachedResult>,
-    /// Set when a structural mutation ran with `auto_scope_sync` disabled:
-    /// the dirty-set seeding below assumes scopes were consistent at the
-    /// start of the pass, so the next `ssync` must fall back to a full
-    /// re-evaluation.
+    /// Set by [`crate::HacFs::reindex_full`] after it rebuilds the index:
+    /// every semdir must re-evaluate against the fresh index, so the next
+    /// `ssync` runs a full re-evaluation instead of seeding a dirty set.
     pub pending_scope_sync: bool,
     /// The durable segmented index store, when one is attached
     /// ([`crate::HacFs::attach_store`]). `None` keeps the legacy
@@ -1342,16 +1336,6 @@ impl HacState {
     pub fn unregister_semdir(&mut self, dir: FileId) {
         self.query_index.remove(dir);
         self.result_cache.remove(&dir);
-    }
-
-    /// Notes a structural mutation that did *not* resynchronize dependents
-    /// (because `auto_scope_sync` is off): the next `ssync` falls back to a
-    /// full re-evaluation, since dirty-set seeding assumes scopes were
-    /// consistent when the pass started.
-    pub fn note_structural_change(&mut self) {
-        if !self.config.auto_scope_sync {
-            self.pending_scope_sync = true;
-        }
     }
 
     /// Replaces the index wholesale (full rebuild), resetting every

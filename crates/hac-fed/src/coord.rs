@@ -4,7 +4,7 @@
 //! namespace mounts through `smount` exactly like a single remote one —
 //! the semantic-directory machinery never learns that its backend fans
 //! out. Queries scatter to every shard concurrently (each shard client
-//! is a pipelined `hac-net` mux connection), results union by document
+//! is a pooled `hac-net` [`NetRemote`]), results union by document
 //! id, and the whole fan-out runs under **one deadline budget**: a shard
 //! that cannot answer in time degrades the response to an explicitly
 //! flagged *partial* result instead of stalling or failing the mount.
@@ -37,8 +37,8 @@ use crate::FedError;
 /// Tuning for a [`FedRemote`].
 #[derive(Debug, Clone)]
 pub struct FedConfig {
-    /// Per-shard transport tuning. The default raises `pipeline_depth`
-    /// above one so each shard client multiplexes its connection.
+    /// Per-shard transport tuning: each shard client is a [`NetRemote`]
+    /// with its own exclusive-checkout connection pool.
     pub client: ClientConfig,
     /// Deadline budget for one whole fan-out: scatter, per-shard
     /// evaluation, failover, and gather all share it. A shard that has
@@ -49,10 +49,7 @@ pub struct FedConfig {
 impl Default for FedConfig {
     fn default() -> Self {
         FedConfig {
-            client: ClientConfig {
-                pipeline_depth: 4,
-                ..ClientConfig::default()
-            },
+            client: ClientConfig::default(),
             fanout_budget: Duration::from_secs(2),
         }
     }
@@ -221,9 +218,42 @@ fn jescape(s: &str) -> String {
     out
 }
 
-/// One fleet-scatter op applied to a peer (trace pull, registry
-/// scrape) — shared across the scatter's worker threads.
-type FleetCall<T> = dyn Fn(&dyn RemoteQuerySystem) -> Result<T, RemoteError> + Send + Sync;
+/// Runs `f` once per peer, each on its own detached thread continuing
+/// the caller's trace, and gathers the answers until `deadline`. Slot `i`
+/// holds peer `i`'s answer, or `None` if it had not answered in time.
+/// Threads that outlive the deadline send into a dropped receiver, which
+/// is harmless — the deadline bounds the *caller*, not the peer.
+fn scatter<P, R, F>(peers: Vec<P>, deadline: Instant, f: F) -> Vec<Option<R>>
+where
+    P: Send + 'static,
+    R: Send + 'static,
+    F: Fn(usize, P) -> R + Send + Sync + 'static,
+{
+    let mut out: Vec<Option<R>> = peers.iter().map(|_| None).collect();
+    let f = Arc::new(f);
+    let ctx = hac_obs::current_trace();
+    let (tx, rx) = mpsc::channel();
+    for (i, peer) in peers.into_iter().enumerate() {
+        let f = Arc::clone(&f);
+        let tx = tx.clone();
+        thread::spawn(move || {
+            let _trace = ctx.map(hac_obs::continue_trace);
+            let _ = tx.send((i, f(i, peer)));
+        });
+    }
+    drop(tx);
+    for _ in 0..out.len() {
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        match rx.recv_timeout(deadline - now) {
+            Ok((i, answer)) => out[i] = Some(answer),
+            Err(_) => break, // deadline or all workers gone
+        }
+    }
+    out
+}
 
 /// One shard's client set: the primary plus failover replicas.
 struct Shard {
@@ -384,56 +414,32 @@ impl FedRemote {
     /// Every peer gets a slot in the result; unreachable, failing, or
     /// over-budget peers yield `None` — the same degrade-don't-fail
     /// contract scatter queries follow.
-    fn scatter_fleet<T: Send + 'static>(
-        &self,
-        op: &'static str,
-        call: Arc<FleetCall<T>>,
-    ) -> Vec<(String, Option<T>)> {
-        let peers = self.fleet_peers();
+    fn scatter_fleet<T, F>(&self, op: &'static str, call: F) -> Vec<(String, Option<T>)>
+    where
+        T: Send + 'static,
+        F: Fn(&dyn RemoteQuerySystem) -> Result<T, RemoteError> + Send + Sync + 'static,
+    {
+        let (nodes, backends): (Vec<String>, Vec<_>) = self.fleet_peers().into_iter().unzip();
         let deadline = Instant::now() + self.budget;
-        let _span = hac_obs::span!("fed_fleet_scatter", op = op, peers = peers.len());
-        let ctx = hac_obs::current_trace();
-        let (tx, rx) = mpsc::channel();
-        for (i, (_, backend)) in peers.iter().enumerate() {
-            let backend = Arc::clone(backend);
-            let call = Arc::clone(&call);
-            let tx = tx.clone();
-            thread::spawn(move || {
-                let _trace = ctx.map(hac_obs::continue_trace);
-                let _ = tx.send((i, call(backend.as_ref()).ok()));
-            });
-        }
-        drop(tx);
-        let mut out: Vec<(String, Option<T>)> =
-            peers.into_iter().map(|(node, _)| (node, None)).collect();
-        let mut answered = 0usize;
-        while answered < out.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok((i, result)) => {
-                    answered += 1;
-                    out[i].1 = result;
-                }
-                Err(_) => break,
-            }
-        }
-        out
+        let _span = hac_obs::span!("fed_fleet_scatter", op = op, peers = nodes.len());
+        let answers = scatter(backends, deadline, move |_, backend| {
+            call(backend.as_ref()).ok()
+        });
+        nodes
+            .into_iter()
+            .zip(answers)
+            .map(|(node, answer)| (node, answer.flatten()))
+            .collect()
     }
 
     /// Pulls every peer's span forest for `trace_id` (wire
     /// `TraceSpans`) — the transport half of a stitched `/trace/<id>`
     /// view, shaped for [`hac_obs::http::FleetHooks::trace_spans`].
     pub fn fleet_trace(&self, trace_id: u64) -> Vec<hac_obs::http::PeerSpans> {
-        self.scatter_fleet(
-            "trace_spans",
-            Arc::new(move |backend: &dyn RemoteQuerySystem| {
-                let bytes = backend.trace_spans_bytes(trace_id)?;
-                hac_obs::trace::decode_spans(&bytes).map_err(RemoteError::UnsupportedQuery)
-            }),
-        )
+        self.scatter_fleet("trace_spans", move |backend: &dyn RemoteQuerySystem| {
+            let bytes = backend.trace_spans_bytes(trace_id)?;
+            hac_obs::trace::decode_spans(&bytes).map_err(RemoteError::UnsupportedQuery)
+        })
         .into_iter()
         .map(|(node, events)| hac_obs::http::PeerSpans { node, events })
         .collect()
@@ -443,13 +449,10 @@ impl FedRemote {
     /// transport half of a `/fleet/metrics` merge, shaped for
     /// [`hac_obs::http::FleetHooks::metrics`].
     pub fn fleet_metrics(&self) -> Vec<hac_obs::http::PeerSnapshot> {
-        self.scatter_fleet(
-            "metrics",
-            Arc::new(|backend: &dyn RemoteQuerySystem| {
-                let bytes = backend.metrics_bytes()?;
-                hac_obs::Snapshot::decode(&bytes).map_err(RemoteError::UnsupportedQuery)
-            }),
-        )
+        self.scatter_fleet("metrics", |backend: &dyn RemoteQuerySystem| {
+            let bytes = backend.metrics_bytes()?;
+            hac_obs::Snapshot::decode(&bytes).map_err(RemoteError::UnsupportedQuery)
+        })
         .into_iter()
         .map(|(node, snapshot)| hac_obs::http::PeerSnapshot { node, snapshot })
         .collect()
@@ -497,76 +500,51 @@ impl RemoteQuerySystem for FedRemote {
         let _span = hac_obs::span!("fed_scatter", ns = ns, shards = total);
         hac_obs::counter("hac_fed_scatter_total", &[("ns", ns)]).inc();
 
-        // Scatter: one detached worker per shard. Workers that outlive
-        // the deadline send into a dropped receiver, which is harmless —
-        // the budget bounds the *caller*, not the shard.
-        let (tx, rx) = mpsc::channel();
-        let ctx = hac_obs::current_trace();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = Arc::clone(shard);
-            let query = query.clone();
-            let tx = tx.clone();
-            thread::spawn(move || {
-                let _trace = ctx.map(hac_obs::continue_trace);
-                let _span = hac_obs::span!("fed_shard_query", shard = i);
-                let (result, via_replica) = query_shard(&shard, &query);
-                let _ = tx.send((i, result, via_replica));
-            });
-        }
-        drop(tx);
+        // Scatter: one detached worker per shard, gathered under the
+        // shared budget.
+        let query = query.clone();
+        let answers = scatter(self.shards.clone(), deadline, move |i, shard| {
+            let _span = hac_obs::span!("fed_shard_query", shard = i);
+            query_shard(&shard, &query)
+        });
 
-        // Gather under the shared budget.
         let mut docs: Vec<RemoteDoc> = Vec::new();
-        let mut answered = vec![false; total];
         let mut ok = 0usize;
-        let mut failed = 0usize;
         let mut last_err: Option<RemoteError> = None;
-        while ok + failed < total {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok((i, result, via_replica)) => {
-                    answered[i] = true;
-                    let stats = &self.shards[i].stats;
-                    if via_replica {
-                        stats.failovers.fetch_add(1, Ordering::Relaxed);
-                        hac_obs::counter("hac_fed_failover_total", &[("ns", ns)]).inc();
-                    }
-                    match result {
-                        Ok(shard_docs) => {
-                            ok += 1;
-                            stats.ok.fetch_add(1, Ordering::Relaxed);
-                            stats.settle(ns, &self.map.shards[i].ns, true);
-                            docs.extend(shard_docs);
-                        }
-                        Err(e) => {
-                            failed += 1;
-                            stats.errors.fetch_add(1, Ordering::Relaxed);
-                            stats.settle(ns, &self.map.shards[i].ns, false);
-                            hac_obs::counter(
-                                "hac_fed_shard_errors_total",
-                                &[("ns", ns), ("shard", &self.map.shards[i].ns)],
-                            )
-                            .inc();
-                            last_err = Some(e);
-                        }
-                    }
-                }
-                Err(_) => break, // deadline or all workers gone
-            }
-        }
-        for (i, done) in answered.iter().enumerate() {
-            if !done {
-                let stats = &self.shards[i].stats;
+        for (i, answer) in answers.into_iter().enumerate() {
+            let stats = &self.shards[i].stats;
+            let shard_ns = self.map.shards[i].ns.as_str();
+            let Some((result, via_replica)) = answer else {
                 stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                stats.settle(ns, &self.map.shards[i].ns, false);
+                stats.settle(ns, shard_ns, false);
                 hac_obs::counter(
                     "hac_fed_shard_timeouts_total",
-                    &[("ns", ns), ("shard", &self.map.shards[i].ns)],
+                    &[("ns", ns), ("shard", shard_ns)],
                 )
                 .inc();
+                continue;
+            };
+            if via_replica {
+                stats.failovers.fetch_add(1, Ordering::Relaxed);
+                hac_obs::counter("hac_fed_failover_total", &[("ns", ns)]).inc();
+            }
+            match result {
+                Ok(shard_docs) => {
+                    ok += 1;
+                    stats.ok.fetch_add(1, Ordering::Relaxed);
+                    stats.settle(ns, shard_ns, true);
+                    docs.extend(shard_docs);
+                }
+                Err(e) => {
+                    stats.errors.fetch_add(1, Ordering::Relaxed);
+                    stats.settle(ns, shard_ns, false);
+                    hac_obs::counter(
+                        "hac_fed_shard_errors_total",
+                        &[("ns", ns), ("shard", shard_ns)],
+                    )
+                    .inc();
+                    last_err = Some(e);
+                }
             }
         }
         hac_obs::histogram("hac_fed_scatter_micros", &[("ns", ns)])

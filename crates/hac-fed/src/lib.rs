@@ -15,8 +15,8 @@
 //! * **Placement** ([`map`]): a versioned shard map, carried in a
 //!   HACM-style binary manifest (`HACF`), fetched from any shard over
 //!   the wire `ShardMap` op so clients and coordinator always agree.
-//! * **Scatter-gather** ([`coord`]): queries fan out over the pipelined
-//!   mux client to every shard under one deadline budget; per-shard
+//! * **Scatter-gather** ([`coord`]): queries fan out over a pooled
+//!   `hac-net` client to every shard under one deadline budget; per-shard
 //!   results union by document id. A shard that misses the deadline or
 //!   errors degrades the answer to a *partial* result — explicitly
 //!   flagged via `RemoteQuerySystem::last_partial`, never an error, so

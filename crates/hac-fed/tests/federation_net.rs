@@ -101,7 +101,6 @@ fn fast_client() -> ClientConfig {
     config.retry.base_delay = Duration::from_millis(2);
     config.retry.request_timeout = Duration::from_millis(500);
     config.connect_timeout = Duration::from_millis(500);
-    config.pipeline_depth = 4;
     config
 }
 

@@ -11,7 +11,11 @@
 //! Reliability shape:
 //!
 //! * a bounded **connection pool** (idle sockets are reused; at most
-//!   `max_connections` exist at once; excess callers wait on a condvar);
+//!   `max_connections` exist at once; excess callers wait on a condvar).
+//!   A request checks its socket out exclusively until the answer
+//!   arrives, so a slow request never blocks one on another socket, and
+//!   a socket whose request failed or timed out is discarded, never
+//!   reused;
 //! * a **per-request deadline** (socket read/write timeouts);
 //! * **capped exponential retry with jitter** via the shared
 //!   [`RetryPolicy`] — the same backoff shape the reindex daemon uses.
@@ -19,24 +23,12 @@
 //! Retries apply only to *retriable* failures (connection refused/reset,
 //! timeouts). Semantic errors from the far side — not found, unsupported
 //! query, unknown namespace, version mismatch — fail fast.
-//!
-//! ## Pipelined mode
-//!
-//! With `pipeline_depth > 1` the client multiplexes: concurrent callers
-//! *share* sockets instead of checking them out exclusively, each
-//! connection carrying up to `pipeline_depth` requests in flight. The
-//! wire's request ids route every response to its caller, so the server
-//! completing requests out of order is fine — one caller's slow search
-//! does not block another's fast fetch on the same socket. One waiter at
-//! a time plays reader (pulling frames and filling the others' slots); a
-//! caller that hits its deadline simply abandons its id — the late
-//! response is discarded as a stray and the socket stays healthy.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hac_core::remote::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem, RetryPolicy};
@@ -53,10 +45,6 @@ pub struct ClientConfig {
     pub pool_wait: Duration,
     /// TCP connect deadline.
     pub connect_timeout: Duration,
-    /// Requests one connection may carry concurrently. `1` (the default)
-    /// keeps the classic exclusive-checkout pool; above 1, callers share
-    /// (multiplex) connections and responses are matched by id.
-    pub pipeline_depth: usize,
     /// Retry/backoff/request-deadline knobs (shared with the daemon).
     pub retry: RetryPolicy,
 }
@@ -67,7 +55,6 @@ impl Default for ClientConfig {
             max_connections: 4,
             pool_wait: Duration::from_secs(5),
             connect_timeout: Duration::from_secs(2),
-            pipeline_depth: 1,
             retry: RetryPolicy::default(),
         }
     }
@@ -104,8 +91,6 @@ impl OpMetrics {
 struct ClientMetrics {
     bytes_written: hac_obs::Counter,
     bytes_read: hac_obs::Counter,
-    pool_size: hac_obs::Gauge,
-    strays: hac_obs::Counter,
     search: OpMetrics,
     fetch: OpMetrics,
     ping: OpMetrics,
@@ -117,8 +102,6 @@ impl ClientMetrics {
         ClientMetrics {
             bytes_written: hac_obs::counter("hac_net_client_bytes_written_total", &[]),
             bytes_read: hac_obs::counter("hac_net_client_bytes_read_total", &[("ns", ns)]),
-            pool_size: hac_obs::gauge("hac_net_pool_size", &[("ns", ns)]),
-            strays: hac_obs::counter("hac_net_stray_responses_total", &[("ns", ns)]),
             search: OpMetrics::new(ns, "search"),
             fetch: OpMetrics::new(ns, "fetch"),
             ping: OpMetrics::new(ns, "ping"),
@@ -234,77 +217,12 @@ impl Pool {
     }
 }
 
-/// A connection shared by concurrent callers in pipelined mode. Writers
-/// serialize on `write_lock` (frames never interleave mid-frame); readers
-/// elect one of the waiting callers to pull frames and fill the others'
-/// slots, matched by request id.
-struct MuxConn {
-    stream: TcpStream,
-    write_lock: Mutex<()>,
-    state: Mutex<MuxState>,
-    wakeup: Condvar,
-    /// Streaming receive state, touched only by the elected reader (the
-    /// `reader_active` flag already serializes them). Bulk reads let one
-    /// syscall deliver many pipelined responses when the server batches
-    /// its flushes.
-    rx: Mutex<wire::FrameDecoder>,
-}
-
-struct MuxState {
-    /// Request id → slot; `None` until the reader fills it. A caller that
-    /// hits its deadline removes its id, turning the late response into a
-    /// discarded stray rather than a poisoned socket.
-    pending: BTreeMap<u64, Option<Received>>,
-    /// Whether some caller currently owns the read side.
-    reader_active: bool,
-    broken: bool,
-}
-
-impl MuxConn {
-    fn from_dialed(conn: PooledConn) -> Self {
-        MuxConn {
-            stream: conn.stream,
-            write_lock: Mutex::new(()),
-            state: Mutex::new(MuxState {
-                pending: BTreeMap::new(),
-                reader_active: false,
-                broken: false,
-            }),
-            wakeup: Condvar::new(),
-            rx: Mutex::new(conn.rx),
-        }
-    }
-
-    /// Marks the connection unusable and wakes every waiter so they can
-    /// fail over; the socket is removed from the pool at the next checkout.
-    fn mark_broken(&self) {
-        let mut state = self.state.lock().expect("mux poisoned");
-        state.broken = true;
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.wakeup.notify_all();
-    }
-
-    fn load(&self) -> (usize, bool) {
-        let state = self.state.lock().expect("mux poisoned");
-        (state.pending.len(), state.broken)
-    }
-}
-
-/// Multiplexed connection set (`pipeline_depth > 1`).
-struct MuxPool {
-    conns: Vec<Arc<MuxConn>>,
-    /// Dials in progress — counted so concurrent callers never exceed
-    /// `max_connections` even while a dial is off-lock.
-    dialing: usize,
-}
-
 /// A remote query system reached over TCP.
 pub struct NetRemote {
     ns: NamespaceId,
     addr: String,
     config: ClientConfig,
     pool: Pool,
-    mux: Mutex<MuxPool>,
     next_id: AtomicU64,
     jitter: Mutex<u64>,
     metrics: ClientMetrics,
@@ -319,10 +237,6 @@ impl NetRemote {
             ns: NamespaceId(ns.to_string()),
             addr: addr.to_string(),
             pool: Pool::new(config.max_connections, ns),
-            mux: Mutex::new(MuxPool {
-                conns: Vec::new(),
-                dialing: 0,
-            }),
             config,
             next_id: AtomicU64::new(1),
             jitter: Mutex::new(jitter | 1),
@@ -393,20 +307,10 @@ impl NetRemote {
         }
     }
 
-    /// Closes every pooled socket. Classic-pool requests in flight are
-    /// unaffected; multiplexed callers are woken and fail over.
+    /// Closes every idle pooled socket. Requests in flight are unaffected.
     pub fn disconnect(&self) {
         for conn in self.pool.drain() {
             let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        let conns: Vec<Arc<MuxConn>> = {
-            let mut mux = self.mux.lock().expect("mux pool poisoned");
-            let drained = mux.conns.drain(..).collect();
-            self.metrics.pool_size.set(mux.dialing as i64);
-            drained
-        };
-        for conn in conns {
-            conn.mark_broken();
         }
     }
 
@@ -439,7 +343,6 @@ impl NetRemote {
                 &mut conn.rx,
                 &Request::new(id, RequestBody::Ping { version }),
                 &self.metrics.bytes_written,
-                None,
             )?;
             return match pong.body {
                 ResponseBody::Pong { .. } => Ok(conn),
@@ -461,17 +364,7 @@ impl NetRemote {
     /// letting us split the round trip into server time
     /// (`hac_net_server_time_us`) and everything else — serialization,
     /// kernel, and network (`hac_net_wire_overhead_us`).
-    fn attempt(
-        &self,
-        op: &'static str,
-        body: &RequestBody,
-        sink: Option<&mut Vec<RemoteDoc>>,
-    ) -> Result<ResponseBody, AttemptError> {
-        if self.config.pipeline_depth > 1 {
-            // Pipelined responses may be decoded by whichever caller holds
-            // the reader role, so buffer reuse does not apply there.
-            return self.attempt_mux(op, body);
-        }
+    fn attempt(&self, op: &'static str, body: &RequestBody) -> Result<ResponseBody, AttemptError> {
         let mut conn = match self.pool.checkout(self.config.pool_wait)? {
             Checkout::Reuse(conn) => conn,
             Checkout::Dial => match self.dial() {
@@ -495,7 +388,6 @@ impl NetRemote {
             &mut conn.rx,
             &req,
             &self.metrics.bytes_written,
-            sink,
         ) {
             Ok(resp) => {
                 if resp.id != id {
@@ -530,248 +422,14 @@ impl NetRemote {
         }
     }
 
-    /// Picks the least-loaded multiplexed connection with spare pipeline
-    /// capacity, dialing a new one while under `max_connections`; otherwise
-    /// polls until capacity frees up or `pool_wait` elapses.
-    fn mux_checkout(&self) -> Result<Arc<MuxConn>, AttemptError> {
-        let deadline = Instant::now() + self.config.pool_wait;
-        loop {
-            let must_dial = {
-                let mut mux = self.mux.lock().expect("mux pool poisoned");
-                mux.conns.retain(|c| !c.load().1);
-                self.metrics
-                    .pool_size
-                    .set((mux.conns.len() + mux.dialing) as i64);
-                let mut best: Option<(usize, Arc<MuxConn>)> = None;
-                for conn in &mux.conns {
-                    let (in_flight, broken) = conn.load();
-                    if broken || in_flight >= self.config.pipeline_depth {
-                        continue;
-                    }
-                    if best.as_ref().is_none_or(|(b, _)| in_flight < *b) {
-                        best = Some((in_flight, Arc::clone(conn)));
-                    }
-                }
-                if let Some((_, conn)) = best {
-                    return Ok(conn);
-                }
-                if mux.conns.len() + mux.dialing < self.config.max_connections.max(1) {
-                    mux.dialing += 1;
-                    true
-                } else {
-                    false
-                }
-            };
-            if must_dial {
-                // Dial off-lock; `dialing` holds our capacity slot meanwhile.
-                let dialed = self.dial();
-                let mut mux = self.mux.lock().expect("mux pool poisoned");
-                mux.dialing -= 1;
-                match dialed {
-                    Ok(pooled) => {
-                        let conn = Arc::new(MuxConn::from_dialed(pooled));
-                        mux.conns.push(Arc::clone(&conn));
-                        self.metrics
-                            .pool_size
-                            .set((mux.conns.len() + mux.dialing) as i64);
-                        return Ok(conn);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(AttemptError::Wire(WireError::Remote(RemoteError::Timeout)));
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// One pipelined attempt: register an id slot, write the frame (writes
-    /// serialize per connection), then wait for the response matched to our
-    /// id — playing shared reader whenever no other caller holds that role.
-    fn attempt_mux(
-        &self,
-        op: &'static str,
-        body: &RequestBody,
-    ) -> Result<ResponseBody, AttemptError> {
-        let conn = self.mux_checkout()?;
-        let mut span = hac_obs::span!("net_client_request", ns = self.ns.0, op = op);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let req = Request {
-            id,
-            body: body.clone(),
-            trace: span.context().map(Into::into),
-        };
-        let start = Instant::now();
-        conn.state
-            .lock()
-            .expect("mux poisoned")
-            .pending
-            .insert(id, None);
-        let write_result = {
-            let _writer = conn.write_lock.lock().expect("mux write lock poisoned");
-            let bytes = wire::encode_request(&req);
-            wire::write_frame(&mut &conn.stream, &bytes).map(|()| bytes.len() as u64 + 8)
-        };
-        match write_result {
-            Ok(written) => {
-                self.metrics.bytes_written.add(written);
-            }
-            Err(e) => {
-                conn.state.lock().expect("mux poisoned").pending.remove(&id);
-                conn.mark_broken();
-                return Err(AttemptError::Io(e));
-            }
-        }
-        match self.mux_await(&conn, id) {
-            Ok(resp) => {
-                self.metrics.bytes_read.add(resp.wire_len as u64);
-                if let Some(server_us) = resp.server_elapsed_us {
-                    let total_us = start.elapsed().as_micros() as u64;
-                    let m = self.metrics.op(op);
-                    m.server_time.record(server_us);
-                    m.wire_overhead.record(total_us.saturating_sub(server_us));
-                    span.field("server_us", server_us);
-                }
-                match resp.body {
-                    ResponseBody::Err(e) => Err(AttemptError::Wire(e)),
-                    ok => Ok(ok),
-                }
-            }
-            Err(e) => Err(AttemptError::Io(e)),
-        }
-    }
-
-    /// Waits until the slot for `id` is filled. At most one caller reads
-    /// the socket at a time; everyone else parks on the condvar. Frames for
-    /// other callers are routed into their slots; frames for abandoned ids
-    /// are counted and discarded.
-    fn mux_await(&self, conn: &MuxConn, id: u64) -> io::Result<Received> {
-        let deadline = Instant::now() + self.config.retry.request_timeout;
-        let mut state = conn.state.lock().expect("mux poisoned");
-        loop {
-            if let Some(slot) = state.pending.get_mut(&id) {
-                if let Some(resp) = slot.take() {
-                    state.pending.remove(&id);
-                    return Ok(resp);
-                }
-            }
-            if state.broken {
-                state.pending.remove(&id);
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "multiplexed connection broken",
-                ));
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                // Abandon: our id disappears from the table, so the late
-                // response (if any) is discarded as a stray and the socket
-                // itself stays healthy for the other callers.
-                state.pending.remove(&id);
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "pipelined request deadline elapsed",
-                ));
-            }
-            if state.reader_active {
-                let (next, _) = conn
-                    .wakeup
-                    .wait_timeout(state, (deadline - now).min(Duration::from_millis(10)))
-                    .expect("mux poisoned");
-                state = next;
-                continue;
-            }
-            state.reader_active = true;
-            drop(state);
-            // Drain every already-buffered frame, then read at most once:
-            // with the server batching flushes, one syscall often carries a
-            // whole burst of pipelined responses.
-            let read = {
-                let mut rx = conn.rx.lock().expect("mux rx poisoned");
-                let mut batch = Vec::new();
-                loop {
-                    match rx.next_frame() {
-                        Ok(Some(payload)) => match decode_received(payload, None) {
-                            Ok(resp) => {
-                                batch.push(resp);
-                                continue;
-                            }
-                            Err(e) => break Err(e),
-                        },
-                        Ok(None) => {}
-                        Err(e) => break Err(e),
-                    }
-                    if !batch.is_empty() {
-                        break Ok(batch);
-                    }
-                    match rx.read_from(&mut &conn.stream) {
-                        Ok(0) => {
-                            break Err(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "connection closed mid-frame",
-                            ))
-                        }
-                        Ok(_) => {}
-                        Err(e) => break Err(e),
-                    }
-                }
-            };
-            state = conn.state.lock().expect("mux poisoned");
-            state.reader_active = false;
-            match read {
-                Ok(batch) => {
-                    for resp in batch {
-                        match state.pending.get_mut(&resp.id) {
-                            Some(slot) => *slot = Some(resp),
-                            None => self.metrics.strays.inc(),
-                        }
-                    }
-                    conn.wakeup.notify_all();
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) =>
-                {
-                    // Socket read timeout: nothing arrived on the wire.
-                    // Not fatal to the connection — loop; our own deadline
-                    // decides whether *this* caller gives up.
-                    conn.wakeup.notify_all();
-                }
-                Err(e) => {
-                    // Hard transport error or a garbled frame: the stream
-                    // is unusable for everyone sharing it.
-                    state.broken = true;
-                    drop(state);
-                    conn.mark_broken();
-                    return Err(e);
-                }
-            }
-        }
-    }
-
     /// Full request with retry. `op` labels the metrics.
     fn request(&self, op: &'static str, body: RequestBody) -> Result<ResponseBody, RemoteError> {
-        self.request_with_sink(op, body, None)
-    }
-
-    /// Like [`NetRemote::request`], but a `Docs` response decoded on a
-    /// classic-pool connection recycles `sink`'s existing allocations
-    /// instead of materializing fresh strings.
-    fn request_with_sink(
-        &self,
-        op: &'static str,
-        body: RequestBody,
-        mut sink: Option<&mut Vec<RemoteDoc>>,
-    ) -> Result<ResponseBody, RemoteError> {
         let m = self.metrics.op(op);
         let start = Instant::now();
         let policy = &self.config.retry;
         let mut failures = 0u64;
         let result = loop {
-            match self.attempt(op, &body, sink.as_deref_mut()) {
+            match self.attempt(op, &body) {
                 Ok(ok) => break Ok(ok),
                 Err(e) => {
                     let (remote, retriable) = e.classify();
@@ -818,39 +476,6 @@ impl RemoteQuerySystem for NetRemote {
         )? {
             ResponseBody::Docs(docs) => Ok(docs),
             other => Err(unexpected(other)),
-        }
-    }
-
-    /// Zero-allocation steady state: on a classic-pool connection the
-    /// decoder refills `out`'s existing strings in place, so repeatedly
-    /// polling a namespace with the same buffer stops paying the per-doc
-    /// materialization cost a fresh [`Vec`] forces.
-    fn search_into(
-        &self,
-        query: &ContentExpr,
-        out: &mut Vec<RemoteDoc>,
-    ) -> Result<(), RemoteError> {
-        let result = self.request_with_sink(
-            "search",
-            RequestBody::Search {
-                ns: self.ns.0.clone(),
-                query: query.clone(),
-            },
-            Some(out),
-        );
-        match result {
-            Ok(ResponseBody::Docs(docs)) => {
-                *out = docs;
-                Ok(())
-            }
-            Ok(other) => {
-                out.clear();
-                Err(unexpected(other))
-            }
-            Err(e) => {
-                out.clear();
-                Err(e)
-            }
         }
     }
 
@@ -946,14 +571,19 @@ fn exchange(
     rx: &mut wire::FrameDecoder,
     req: &Request,
     bytes_written: &hac_obs::Counter,
-    sink: Option<&mut Vec<RemoteDoc>>,
 ) -> io::Result<Received> {
     let bytes = wire::encode_request(req);
     wire::write_frame(&mut conn, &bytes)?;
     bytes_written.add(bytes.len() as u64 + 8);
     loop {
         if let Some(payload) = rx.next_frame()? {
-            return decode_received(payload, sink);
+            let resp = wire::decode_response(payload)?;
+            return Ok(Received {
+                id: resp.id,
+                body: resp.body,
+                wire_len: payload.len() + 8,
+                server_elapsed_us: resp.server_elapsed_us,
+            });
         }
         if rx.read_from(&mut conn)? == 0 {
             return Err(io::Error::new(
@@ -962,23 +592,6 @@ fn exchange(
             ));
         }
     }
-}
-
-/// Decodes one response payload. With a `sink`, a `Docs` body recycles
-/// the sink's allocations; the refilled vec still travels inside the
-/// returned body (by move), so callers get it back through the normal
-/// path.
-fn decode_received(payload: &[u8], sink: Option<&mut Vec<RemoteDoc>>) -> io::Result<Received> {
-    let resp = match sink {
-        Some(pool) => wire::decode_response_reusing(payload, pool)?,
-        None => wire::decode_response(payload)?,
-    };
-    Ok(Received {
-        id: resp.id,
-        body: resp.body,
-        wire_len: payload.len() + 8,
-        server_elapsed_us: resp.server_elapsed_us,
-    })
 }
 
 fn unexpected(body: ResponseBody) -> RemoteError {

@@ -18,12 +18,12 @@
 //!   struct arity rejects any other shape;
 //! * a [`Response`] (`id`, optional `server_elapsed_us`, `body`) travels
 //!   in a fixed little-endian layout ([`encode_response_into`] /
-//!   [`decode_response_reusing`]) written and parsed with no reflection,
+//!   [`decode_response`]) written and parsed with no reflection,
 //!   because a multi-hundred-doc search result is the hot payload.
 //!
 //! Requests carry client-chosen `id`s and responses echo them, so a
-//! client may pipeline several requests on one connection and match
-//! answers out of band.
+//! server may answer several requests on one connection out of order and
+//! the client can still tell which answer is whose.
 //!
 //! Versioning: every peer is built from this workspace, so nothing is
 //! negotiated. A client opens with `Ping { version }`; the server answers
@@ -647,17 +647,6 @@ impl<'a> ResponseReader<'a> {
         let b = self.take(len)?;
         String::from_utf8(b.to_vec()).map_err(|_| invalid("response"))
     }
-
-    /// Reads a string into `out`, reusing its allocation when capacity
-    /// suffices.
-    fn str_into(&mut self, out: &mut String) -> io::Result<()> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        let s = std::str::from_utf8(b).map_err(|_| invalid("response"))?;
-        out.clear();
-        out.push_str(s);
-        Ok(())
-    }
 }
 
 /// Decodes a response payload.
@@ -667,25 +656,6 @@ impl<'a> ResponseReader<'a> {
 /// `InvalidData` when the bytes are not a valid response (truncated,
 /// unknown tag, trailing garbage, or invalid UTF-8).
 pub fn decode_response(bytes: &[u8]) -> io::Result<Response> {
-    let mut pool = Vec::new();
-    decode_response_reusing(bytes, &mut pool)
-}
-
-/// Like [`decode_response`], but a `Docs` body recycles `pool`:
-/// existing `RemoteDoc` slots (and the strings inside them) are refilled
-/// in place, and the refilled vec is moved into the returned response.
-/// Feeding the vec from one response back in for the next means
-/// steady-state decoding of similarly shaped doc lists allocates
-/// nothing — the client-side twin of the server's reused encode buffer.
-///
-/// On any decode error the pool's contents are unspecified (but valid);
-/// non-`Docs` bodies leave it untouched.
-///
-/// # Errors
-///
-/// `InvalidData` when the bytes are not a valid response (truncated,
-/// unknown tag, trailing garbage, or invalid UTF-8).
-pub fn decode_response_reusing(bytes: &[u8], pool: &mut Vec<RemoteDoc>) -> io::Result<Response> {
     let mut r = ResponseReader { bytes, pos: 0 };
     let id = r.u64()?;
     let server_elapsed_us = match r.u8()? {
@@ -709,19 +679,13 @@ pub fn decode_response_reusing(bytes: &[u8], pool: &mut Vec<RemoteDoc>) -> io::R
         }
         CT_DOCS => {
             let n = r.u32()? as usize;
-            pool.truncate(n);
-            pool.reserve(n.min(4096).saturating_sub(pool.len()));
-            for i in 0..n {
-                if let Some(slot) = pool.get_mut(i) {
-                    r.str_into(&mut slot.id)?;
-                    r.str_into(&mut slot.title)?;
-                } else {
-                    let id = r.str()?;
-                    let title = r.str()?;
-                    pool.push(RemoteDoc { id, title });
-                }
+            let mut docs = Vec::with_capacity(n.min(4096));
+            for _ in 0..n {
+                let id = r.str()?;
+                let title = r.str()?;
+                docs.push(RemoteDoc { id, title });
             }
-            ResponseBody::Docs(std::mem::take(pool))
+            ResponseBody::Docs(docs)
         }
         CT_BLOB => {
             let len = r.u32()? as usize;
@@ -1001,58 +965,6 @@ mod tests {
                 assert_eq!(decode_response(&buf).unwrap(), resp);
             }
         }
-    }
-
-    #[test]
-    fn reusing_decode_recycles_allocations_and_matches_oneshot() {
-        let docs: Vec<RemoteDoc> = (0..8)
-            .map(|i| RemoteDoc {
-                id: format!("doc{i}"),
-                title: format!("Title {i}"),
-            })
-            .collect();
-        let resp = Response::new(9, ResponseBody::Docs(docs));
-        let buf = encode_response(&resp);
-
-        // Pool longer than the response, with stale oversized strings: the
-        // surviving slots must be refilled in place (same heap buffers).
-        let mut pool: Vec<RemoteDoc> = (0..12)
-            .map(|i| RemoteDoc {
-                id: format!("stale-id-{i}-padding-padding"),
-                title: format!("stale-title-{i}-padding-padding"),
-            })
-            .collect();
-        let before: Vec<*const u8> = pool.iter().take(8).map(|d| d.id.as_ptr()).collect();
-        let got = decode_response_reusing(&buf, &mut pool).unwrap();
-        assert_eq!(got, resp);
-        assert!(pool.is_empty(), "pool vec moves into the response");
-        let ResponseBody::Docs(out) = &got.body else {
-            panic!("docs body expected")
-        };
-        let after: Vec<*const u8> = out.iter().map(|d| d.id.as_ptr()).collect();
-        assert_eq!(before, after, "string allocations must be reused");
-
-        // Pool shorter than the response grows to fit.
-        let mut small = vec![RemoteDoc {
-            id: "x".into(),
-            title: "y".into(),
-        }];
-        assert_eq!(decode_response_reusing(&buf, &mut small).unwrap(), resp);
-
-        // Non-docs bodies leave the pool alone.
-        let pong = encode_response(&Response::new(
-            1,
-            ResponseBody::Pong {
-                version: PROTOCOL_VERSION,
-            },
-        ));
-        let mut untouched = vec![RemoteDoc {
-            id: "keep".into(),
-            title: "me".into(),
-        }];
-        decode_response_reusing(&pong, &mut untouched).unwrap();
-        assert_eq!(untouched.len(), 1);
-        assert_eq!(untouched[0].id, "keep");
     }
 
     #[test]

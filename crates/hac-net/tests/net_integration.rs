@@ -9,10 +9,11 @@
 //! state.
 
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use hac_core::{HacFs, NamespaceId, RemoteError, RemoteQuerySystem};
+use hac_core::{HacFs, NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem};
 use hac_index::ContentExpr;
 use hac_net::wire::{self, Request, RequestBody, Response, ResponseBody, WireError};
 use hac_net::{
@@ -386,4 +387,127 @@ fn a_server_at_another_version_fails_the_client_fast() {
     assert_eq!(retries, 0, "a version refusal must not be retried");
     drop(client);
     assert_eq!(peer.join().unwrap(), 1, "one handshake ping, no loop");
+}
+
+/// A backend whose `search` latency is encoded in the query term: `slow`
+/// sleeps 400 ms, everything else answers almost at once. Each answer
+/// names the term it answered, so a response that reached the wrong
+/// request is detectable.
+struct SleepyBackend {
+    ns: &'static str,
+    searches: AtomicUsize,
+}
+
+impl RemoteQuerySystem for SleepyBackend {
+    fn namespace(&self) -> NamespaceId {
+        NamespaceId(self.ns.to_string())
+    }
+
+    fn search(&self, query: &ContentExpr) -> Result<Vec<RemoteDoc>, RemoteError> {
+        let term = match query {
+            ContentExpr::Term(t) => t.clone(),
+            other => format!("{other:?}"),
+        };
+        let ms = if term == "slow" { 400 } else { 5 };
+        std::thread::sleep(Duration::from_millis(ms));
+        let n = self.searches.fetch_add(1, Ordering::SeqCst);
+        Ok(vec![RemoteDoc {
+            id: format!("{term}-{n}"),
+            title: format!("answer to {term}"),
+        }])
+    }
+
+    fn fetch(&self, id: &str) -> Result<Vec<u8>, RemoteError> {
+        Ok(id.as_bytes().to_vec())
+    }
+}
+
+fn sleepy_server(ns: &'static str) -> HacServer {
+    HacServer::serve(
+        "127.0.0.1:0",
+        vec![Arc::new(SleepyBackend {
+            ns,
+            searches: AtomicUsize::new(0),
+        })],
+        ServerConfig::default(),
+    )
+    .unwrap()
+}
+
+fn term(t: &str) -> ContentExpr {
+    ContentExpr::Term(t.into())
+}
+
+#[test]
+fn a_slow_search_does_not_block_a_fast_one_on_another_socket() {
+    let ns = "pool-no-hol";
+    let server = sleepy_server(ns);
+    let client = Arc::new(NetRemote::connect(
+        ns,
+        &server.local_addr().to_string(),
+        ClientConfig {
+            max_connections: 2,
+            ..fast_retry()
+        },
+    ));
+
+    let slow = {
+        let client = Arc::clone(&client);
+        std::thread::spawn(move || {
+            let docs = client.search(&term("slow")).unwrap();
+            (Instant::now(), docs)
+        })
+    };
+    // Let the slow search check out its socket before the fast one asks.
+    std::thread::sleep(Duration::from_millis(50));
+    let docs = client.search(&term("fast")).unwrap();
+    let fast_done = Instant::now();
+    assert!(docs[0].id.starts_with("fast-"), "{docs:?}");
+
+    let (slow_done, slow_docs) = slow.join().unwrap();
+    assert!(slow_docs[0].id.starts_with("slow-"), "{slow_docs:?}");
+    assert!(
+        fast_done < slow_done,
+        "the fast search waited behind the slow one"
+    );
+    assert!(hac_obs::gauge("hac_net_pool_size", &[("ns", ns)]).get() <= 2);
+
+    client.disconnect();
+    server.shutdown();
+}
+
+#[test]
+fn a_timed_out_request_frees_its_slot_and_the_next_request_dials_fresh() {
+    let ns = "pool-timeout";
+    let server = sleepy_server(ns);
+    let mut config = ClientConfig {
+        max_connections: 1,
+        ..fast_retry()
+    };
+    // No retries and a deadline well under the slow search: the request
+    // times out client-side while the server is still working on it.
+    config.retry.max_attempts = 1;
+    config.retry.request_timeout = Duration::from_millis(100);
+    let client = NetRemote::connect(ns, &server.local_addr().to_string(), config);
+
+    let err = client.search(&term("slow")).unwrap_err();
+    assert!(matches!(err, RemoteError::Timeout), "got {err:?}");
+    assert!(
+        hac_obs::gauge("hac_net_pool_size", &[("ns", ns)]).get() <= 1,
+        "the timed-out socket must release its slot"
+    );
+
+    // By now the late answer to `slow` has been written to the discarded
+    // socket. Were that socket reused, the next read would see it.
+    std::thread::sleep(Duration::from_millis(450));
+    for i in 0..3 {
+        let t = format!("after{i}");
+        let docs = client.search(&term(&t)).unwrap();
+        assert_eq!(docs.len(), 1);
+        assert!(docs[0].id.starts_with(&format!("{t}-")), "{docs:?}");
+    }
+    assert!(hac_obs::gauge("hac_net_pool_size", &[("ns", ns)]).get() <= 1);
+
+    client.disconnect();
+    server.shutdown();
 }

@@ -275,10 +275,6 @@ const CURATED_HELP: &[(&str, &str)] = &[
         "hac_net_server_workers",
         "CPU worker threads serving offloaded requests",
     ),
-    (
-        "hac_net_stray_responses_total",
-        "Pipelined responses with no waiting caller",
-    ),
     ("hac_store_commit_us", "Durable index store commit latency"),
     (
         "hac_store_segments_live",
