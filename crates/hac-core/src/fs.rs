@@ -909,8 +909,7 @@ impl HacFs {
             store.checkpoint(&state.index, &state.doc_paths.dump())?;
             return Ok(());
         }
-        let bytes = crate::store::encode_index_snapshot(&state.index)
-            .map_err(|_| HacError::Vfs(hac_vfs::VfsError::Unsupported("index encode")))?;
+        let bytes = crate::store::encode_index_snapshot(&state.index);
         drop(state);
         let meta_dir = VPath::from_components([crate::state::META_DIR])?;
         self.vfs.mkdir_p(&meta_dir)?;
@@ -925,8 +924,8 @@ impl HacFs {
     ///
     /// With a store attached, recovery replays `base + segments + WAL
     /// tail` (completing any commit a crash interrupted). The legacy
-    /// single-file snapshot — versioned or headerless — remains readable
-    /// as the migration path.
+    /// single-file snapshot remains readable as the migration path; it
+    /// must carry the versioned `HACI` envelope.
     pub fn load_index(&self) -> HacResult<bool> {
         let (store, granularity) = {
             let state = self.state.read();
@@ -986,8 +985,8 @@ impl HacFs {
                 return Ok(false);
             }
             Err(_) => {
-                // Corruption, or a layout change in `Index` under the old
-                // headerless positional codec. Surface it — the operator is
+                // Corruption, a file without the envelope, or a layout
+                // change in `Index`. Surface it — the operator is
                 // about to pay for a full reindex and should see why the
                 // warm start didn't happen.
                 hac_obs::counter("hac_index_snapshot_decode_failures_total", &[]).inc();
@@ -1149,8 +1148,7 @@ impl HacFs {
             let Ok(bytes) = self.vfs.read_file(&meta_path) else {
                 continue;
             };
-            let Ok(record) = hac_vfs::persist::decode_value::<crate::state::DirRecordDisk>(&bytes)
-            else {
+            let Ok(record) = hac_codec::decode_value::<crate::state::DirRecordDisk>(&bytes) else {
                 continue;
             };
             state.uids.bind(DirUid(record.uid), dir);

@@ -10,13 +10,11 @@
 use std::fmt;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
 use hac_index::ContentExpr;
 
 /// Identifier of a mounted remote name space. Must be unique among the
 /// remotes mounted into one `HacFs`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NamespaceId(pub String);
 
 impl fmt::Display for NamespaceId {
@@ -26,7 +24,7 @@ impl fmt::Display for NamespaceId {
 }
 
 /// One result returned by a remote query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteDoc {
     /// Remote-unique identifier (URL, path, object key — opaque to HAC).
     pub id: String,
@@ -35,7 +33,7 @@ pub struct RemoteDoc {
 }
 
 /// Errors surfaced by remote name spaces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RemoteError {
     /// The remote is unreachable or refused the request.
     Unavailable(String),
@@ -422,27 +420,6 @@ mod tests {
         assert!(every2.check(2).is_err());
         assert!(every2.check(3).is_ok());
         assert!(FailurePolicy::EveryNth(0).check(5).is_ok());
-    }
-
-    #[test]
-    fn remote_types_roundtrip_through_the_codec() {
-        let doc = RemoteDoc {
-            id: "/pub/a.txt".to_string(),
-            title: "a.txt".to_string(),
-        };
-        let bytes = hac_vfs::persist::encode_value(&doc).unwrap();
-        let back: RemoteDoc = hac_vfs::persist::decode_value(&bytes).unwrap();
-        assert_eq!(back, doc);
-        for err in [
-            RemoteError::Unavailable("x".into()),
-            RemoteError::Timeout,
-            RemoteError::NotFound("id".into()),
-            RemoteError::UnsupportedQuery("q".into()),
-        ] {
-            let bytes = hac_vfs::persist::encode_value(&err).unwrap();
-            let back: RemoteError = hac_vfs::persist::decode_value(&bytes).unwrap();
-            assert_eq!(back, err);
-        }
     }
 
     #[test]

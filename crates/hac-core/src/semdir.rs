@@ -74,7 +74,7 @@ impl SemDir {
             query,
             links: HashMap::new(),
             prohibited: HashSet::new(),
-            last_result: Bitmap::new_dense(),
+            last_result: Bitmap::new(),
         }
     }
 
@@ -233,7 +233,7 @@ mod tests {
     fn resident_bytes_counts_result_bitmap() {
         let mut d = sd();
         let before = d.resident_bytes();
-        let mut bm = Bitmap::new_dense();
+        let mut bm = Bitmap::new();
         bm.insert(hac_index::DocId(1023));
         d.last_result = bm;
         assert!(d.resident_bytes() >= before + 128);

@@ -10,8 +10,9 @@
 //!   topological order, recomputing only *transient* links and honouring
 //!   permanent/prohibited sets;
 //! * **data consistency** (§2.4): content changes are reconciled lazily by
-//!   [`HacState::sync_subtree`] (invoked by `ssync` and the periodic
-//!   daemon), never instantly.
+//!   the plan → tokenize → apply pipeline ([`HacState::plan_sync`],
+//!   [`tokenize_plan`], [`HacState::apply_sync`]) that `ssync` and the
+//!   periodic daemon run, never instantly.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,7 +54,7 @@ pub fn is_reserved(path: &VPath) -> bool {
 }
 
 /// On-disk form of one directory's HAC metadata.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DirRecordDisk {
     /// The directory's UID.
     pub uid: u64,
@@ -66,6 +67,13 @@ pub struct DirRecordDisk {
     /// Encoded prohibited targets.
     pub prohibited: Vec<String>,
 }
+
+hac_codec::impl_codec!(DirRecordDisk {
+    uid,
+    query,
+    links,
+    prohibited
+});
 
 /// Encodes a [`LinkTarget`] as a stable string.
 pub fn encode_target(t: &LinkTarget) -> String {
@@ -100,11 +108,6 @@ pub struct HacConfig {
     /// is the "update certain semantic directories as soon as new mail
     /// comes in" option.
     pub eager_content_index: bool,
-    /// Store per-directory result sets in the sparse representation instead
-    /// of the paper's dense `N/8`-byte bitmaps — the "better sparse-set
-    /// representations" the paper plans "so that it is possible to index a
-    /// very large number of files".
-    pub sparse_results: bool,
     /// Worker threads for the tokenize phase of a reindex pass. `0` (the
     /// default) sizes to the machine's available parallelism.
     pub reindex_threads: usize,
@@ -127,7 +130,6 @@ impl Default for HacConfig {
         HacConfig {
             granularity: Granularity::default(),
             eager_content_index: false,
-            sparse_results: false,
             reindex_threads: 0,
             store_merge_threshold: 8,
             slos: hac_obs::SloSpec::default_set(),
@@ -452,36 +454,6 @@ impl HacState {
     pub fn deindex_file(&mut self, id: FileId) {
         self.index.remove_doc(Self::doc(id));
         self.doc_paths.forget(Self::doc(id));
-    }
-
-    /// Re-indexes every file under `root`, removing index entries whose
-    /// files vanished from that subtree. This is the content half of
-    /// `ssync`; scope resynchronization follows separately.
-    ///
-    /// Runs the plan → tokenize → apply pipeline inline (single-threaded,
-    /// under the caller's lock); [`crate::HacFs::ssync`] splits the phases
-    /// across lock boundaries instead.
-    pub fn sync_subtree(
-        &mut self,
-        vfs: &Vfs,
-        registry: &TransducerRegistry,
-        root: &VPath,
-    ) -> SyncReport {
-        self.sync_subtree_dirty(vfs, registry, root).0
-    }
-
-    /// Like [`HacState::sync_subtree`], also returning the dirty set for
-    /// incremental scope resynchronization.
-    pub fn sync_subtree_dirty(
-        &mut self,
-        vfs: &Vfs,
-        registry: &TransducerRegistry,
-        root: &VPath,
-    ) -> (SyncReport, DirtySet) {
-        let plan = self.plan_sync(vfs, root);
-        let docs = tokenize_plan(vfs, registry, &plan, 1);
-        let (report, dirty, _applied) = self.apply_sync(vfs, &plan, docs);
-        (report, dirty)
     }
 
     /// Snapshot phase of a reindex pass (shared lock): walks the subtree
@@ -862,13 +834,13 @@ impl HacState {
             QueryExpr::All => universe.and(&self.index.all_docs()),
             QueryExpr::Dir(DirRef::Uid(uid)) => match self.uids.dir_of(*uid) {
                 Some(dir) => self.reference_scope(vfs, dir).local.and(universe),
-                None => Bitmap::new_dense(),
+                None => Bitmap::new(),
             },
             // Unbound path references should have been bound at query-set
             // time; treat a straggler like its UID form by resolving late.
             QueryExpr::Dir(DirRef::Path(p)) => match vfs.resolve(p) {
                 Ok(dir) => self.reference_scope(vfs, dir).local.and(universe),
-                Err(_) => Bitmap::new_dense(),
+                Err(_) => Bitmap::new(),
             },
             QueryExpr::And(a, b) => {
                 let left = self.eval_local_counted(vfs, registry, a, universe, stats);
@@ -1200,11 +1172,7 @@ impl HacState {
             );
         }
 
-        sd.last_result = if self.config.sparse_results {
-            Bitmap::Sparse(desired.into_sparse())
-        } else {
-            desired
-        };
+        sd.last_result = desired;
         // Persist the updated metadata record — the paper keeps these
         // structures on disk, charging every re-evaluation with I/O.
         self.persist_dir(vfs, dir);
@@ -1221,21 +1189,7 @@ impl HacState {
         roots: impl IntoIterator<Item = DirUid>,
     ) -> HacResult<u64> {
         let order = self.graph.update_order(roots);
-        // Cascade size = how many directories the dependency graph schedules
-        // for re-evaluation off this scope change (§2.5).
-        hac_obs::histogram("hac_ssync_cascade_depth", &[]).record(order.len() as u64);
-        hac_obs::counter("hac_cascade_reevals_total", &[]).add(order.len() as u64);
-        let mut synced = 0;
-        for uid in order {
-            let Some(dir) = self.uids.dir_of(uid) else {
-                continue;
-            };
-            if self.semdirs.contains_key(&dir) {
-                self.resync_dir(vfs, registry, dir)?;
-                synced += 1;
-            }
-        }
-        Ok(synced)
+        self.resync_in_order(vfs, registry, order)
     }
 
     /// Re-evaluates *every* semantic directory in dependency order; used by
@@ -1243,19 +1197,7 @@ impl HacState {
     pub fn resync_all(&mut self, vfs: &Vfs, registry: &TransducerRegistry) -> HacResult<u64> {
         let uids: Vec<DirUid> = self.semdirs.values().map(|sd| sd.uid).collect();
         let order = self.graph.full_order(uids);
-        hac_obs::histogram("hac_ssync_cascade_depth", &[]).record(order.len() as u64);
-        hac_obs::counter("hac_cascade_reevals_total", &[]).add(order.len() as u64);
-        let mut synced = 0;
-        for uid in order {
-            let Some(dir) = self.uids.dir_of(uid) else {
-                continue;
-            };
-            if self.semdirs.contains_key(&dir) {
-                self.resync_dir(vfs, registry, dir)?;
-                synced += 1;
-            }
-        }
-        Ok(synced)
+        self.resync_in_order(vfs, registry, order)
     }
 
     /// Re-evaluates only the semantic directories a dirty set can affect:
@@ -1308,6 +1250,22 @@ impl HacState {
         let mut affected: HashSet<DirUid> = seeds.iter().copied().collect();
         affected.extend(self.graph.update_order(seeds));
         let order = self.graph.full_order(affected);
+        let synced = self.resync_in_order(vfs, registry, order)?;
+        hac_obs::counter("hac_resync_semdirs_skipped_total", &[]).add(total.saturating_sub(synced));
+        Ok(synced)
+    }
+
+    /// Re-evaluates the semantic directories among `order` (a dependency
+    /// order from the graph), skipping UIDs that no longer name one.
+    /// Returns the number re-evaluated.
+    fn resync_in_order(
+        &mut self,
+        vfs: &Vfs,
+        registry: &TransducerRegistry,
+        order: Vec<DirUid>,
+    ) -> HacResult<u64> {
+        // Cascade size = how many directories the dependency graph schedules
+        // for re-evaluation off this scope change (§2.5).
         hac_obs::histogram("hac_ssync_cascade_depth", &[]).record(order.len() as u64);
         hac_obs::counter("hac_cascade_reevals_total", &[]).add(order.len() as u64);
         let mut synced = 0;
@@ -1320,7 +1278,6 @@ impl HacState {
                 synced += 1;
             }
         }
-        hac_obs::counter("hac_resync_semdirs_skipped_total", &[]).add(total.saturating_sub(synced));
         Ok(synced)
     }
 
@@ -1525,9 +1482,7 @@ impl HacState {
                 prohibited: Vec::new(),
             },
         };
-        let Ok(bytes) = hac_vfs::persist::encode_value(&record) else {
-            return;
-        };
+        let bytes = hac_codec::encode_value(&record);
         let Ok(meta_dir) = VPath::from_components([META_DIR]) else {
             return;
         };
@@ -1687,7 +1642,9 @@ mod tests {
 
         vfs.mkdir_p(&p("/d")).unwrap();
         let id = vfs.save(&p("/d/f.txt"), b"one").unwrap();
-        state.sync_subtree(&vfs, &registry, &p("/"));
+        let plan = state.plan_sync(&vfs, &p("/"));
+        let docs = tokenize_plan(&vfs, &registry, &plan, 1);
+        state.apply_sync(&vfs, &plan, docs);
         assert!(state.index.is_indexed(HacState::doc(id)));
 
         // Dirty the file, then run the pipeline's phases by hand with an

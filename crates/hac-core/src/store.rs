@@ -35,6 +35,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
+use hac_codec::Encode;
 use hac_index::segment::Segment;
 use hac_index::{Granularity, Index};
 use hac_store::{
@@ -47,7 +48,7 @@ use parking_lot::Mutex;
 use crate::state::META_DIR;
 
 /// Magic prefix of a versioned full-index snapshot object (the manifest
-/// `base`, and the legacy `/.hac-meta/index` file from this version on).
+/// `base`, and the store-less `/.hac-meta/index` file).
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HACI";
 /// Current snapshot envelope version.
 pub const SNAPSHOT_VERSION: u8 = 1;
@@ -65,13 +66,12 @@ fn codec_err(what: &str, e: impl std::fmt::Display) -> StoreError {
 }
 
 /// Encode a full index snapshot with the versioned envelope.
-pub fn encode_index_snapshot(index: &Index) -> StoreResult<Vec<u8>> {
+pub fn encode_index_snapshot(index: &Index) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.push(SNAPSHOT_VERSION);
-    let body = hac_vfs::persist::encode_value(index).map_err(|e| codec_err("snapshot", e))?;
-    out.extend_from_slice(&body);
-    Ok(out)
+    index.encode(&mut out);
+    out
 }
 
 /// What [`decode_index_snapshot`] found.
@@ -84,33 +84,27 @@ pub enum SnapshotDecode {
     VersionSkew(u8),
 }
 
-/// Decode a snapshot written by [`encode_index_snapshot`], or — the
-/// migration path — a headerless snapshot from before the envelope
-/// existed.
+/// Decode a snapshot written by [`encode_index_snapshot`]. Bytes without
+/// the envelope are corrupt, like any other undecodable body.
 pub fn decode_index_snapshot(bytes: &[u8]) -> StoreResult<SnapshotDecode> {
-    let body = if bytes.len() >= 5 && bytes[..4] == SNAPSHOT_MAGIC {
-        if bytes[4] != SNAPSHOT_VERSION {
-            return Ok(SnapshotDecode::VersionSkew(bytes[4]));
-        }
-        &bytes[5..]
-    } else {
-        // Legacy whole-snapshot codec (read-only migration path): raw
-        // positional bytes with no envelope.
-        bytes
-    };
-    hac_vfs::persist::decode_value::<Index>(body)
+    if bytes.len() < 5 || bytes[..4] != SNAPSHOT_MAGIC {
+        return Err(StoreError::Corrupt("snapshot: bad magic".into()));
+    }
+    if bytes[4] != SNAPSHOT_VERSION {
+        return Ok(SnapshotDecode::VersionSkew(bytes[4]));
+    }
+    hac_codec::decode_value::<Index>(&bytes[5..])
         .map(|i| SnapshotDecode::Current(Box::new(i)))
         .map_err(|e| codec_err("snapshot body", e))
 }
 
 /// Encode a segment with the versioned envelope.
-pub fn encode_segment(segment: &Segment) -> StoreResult<Vec<u8>> {
+pub fn encode_segment(segment: &Segment) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.push(SEGMENT_VERSION);
-    let body = hac_vfs::persist::encode_value(segment).map_err(|e| codec_err("segment", e))?;
-    out.extend_from_slice(&body);
-    Ok(out)
+    segment.encode(&mut out);
+    out
 }
 
 /// Decode a segment object.
@@ -124,31 +118,17 @@ pub fn decode_segment(bytes: &[u8]) -> StoreResult<Segment> {
             bytes[4]
         )));
     }
-    hac_vfs::persist::decode_value::<Segment>(&bytes[5..]).map_err(|e| codec_err("segment body", e))
+    hac_codec::decode_value::<Segment>(&bytes[5..]).map_err(|e| codec_err("segment body", e))
 }
 
-/// One doc→path entry of a checkpoint's sidecar object.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-struct DocPathEntry {
-    doc: u64,
-    path: String,
-}
-
-/// Encode the doc→path sidecar written alongside a checkpoint base.
-pub fn encode_doc_paths(paths: &[(u64, String)]) -> StoreResult<Vec<u8>> {
-    let entries: Vec<DocPathEntry> = paths
-        .iter()
-        .map(|(doc, path)| DocPathEntry {
-            doc: *doc,
-            path: path.clone(),
-        })
-        .collect();
+/// Encode the doc→path sidecar written alongside a checkpoint base: a
+/// sequence of `(doc, path)` pairs.
+pub fn encode_doc_paths(paths: &[(u64, String)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&PATHS_MAGIC);
     out.push(PATHS_VERSION);
-    let body = hac_vfs::persist::encode_value(&entries).map_err(|e| codec_err("paths", e))?;
-    out.extend_from_slice(&body);
-    Ok(out)
+    paths.encode(&mut out);
+    out
 }
 
 /// Decode a doc→path sidecar object.
@@ -162,9 +142,7 @@ pub fn decode_doc_paths(bytes: &[u8]) -> StoreResult<Vec<(u64, String)>> {
             bytes[4]
         )));
     }
-    hac_vfs::persist::decode_value::<Vec<DocPathEntry>>(&bytes[5..])
-        .map(|entries| entries.into_iter().map(|e| (e.doc, e.path)).collect())
-        .map_err(|e| codec_err("paths body", e))
+    hac_codec::decode_value(&bytes[5..]).map_err(|e| codec_err("paths body", e))
 }
 
 // ---------------------------------------------------------------------
@@ -522,7 +500,7 @@ impl IndexStore {
     pub fn commit_segment(&self, segment: &Segment) -> StoreResult<()> {
         let start = Instant::now();
         let _span = hac_obs::current_trace().map(|_| hac_obs::span!("store_commit"));
-        let bytes = encode_segment(segment)?;
+        let bytes = encode_segment(segment);
         let mut inner = self.inner.lock();
         self.backend.wal_append(&encode_record(&bytes))?;
         hac_obs::counter("hac_store_wal_bytes_total", &[]).add(bytes.len() as u64 + 13);
@@ -655,8 +633,8 @@ impl IndexStore {
     /// empty segment run. Everything previously live becomes garbage.
     pub fn checkpoint(&self, index: &Index, paths: &[(u64, String)]) -> StoreResult<()> {
         let _span = hac_obs::current_trace().map(|_| hac_obs::span!("store_checkpoint"));
-        let bytes = encode_index_snapshot(index)?;
-        let path_bytes = encode_doc_paths(paths)?;
+        let bytes = encode_index_snapshot(index);
+        let path_bytes = encode_doc_paths(paths);
         let mut inner = self.inner.lock();
         let base = self.backend.put(&bytes)?;
         let path_sidecar = self.backend.put(&path_bytes)?;
@@ -695,7 +673,7 @@ impl IndexStore {
             run.push(decode_segment(&self.backend.get(entry.hash)?)?);
         }
         let merged = Segment::merge(&run);
-        let bytes = encode_segment(&merged)?;
+        let bytes = encode_segment(&merged);
         let hash = self.backend.put(&bytes)?;
         let mut manifest = inner.manifest.clone();
         manifest.seq += 1;
@@ -784,7 +762,7 @@ mod tests {
     #[test]
     fn segment_envelope_roundtrip_and_versioning() {
         let s = seg(3, 9, &[(1, 1, "alpha beta"), (2, 1, "gamma")]);
-        let bytes = encode_segment(&s).unwrap();
+        let bytes = encode_segment(&s);
         assert_eq!(&bytes[..4], &SEGMENT_MAGIC);
         assert_eq!(decode_segment(&bytes).unwrap(), s);
         let mut wrong_version = bytes.clone();
@@ -797,23 +775,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_envelope_handles_current_legacy_and_skew() {
+    fn snapshot_envelope_decodes_current_refuses_headerless_and_reports_skew() {
         let mut index = Index::new(Granularity::Exact);
         index.add_doc(DocId(1), 1, &tokenize_text(b"alpha"));
 
         // Current envelope.
-        let bytes = encode_index_snapshot(&index).unwrap();
+        let bytes = encode_index_snapshot(&index);
         match decode_index_snapshot(&bytes).unwrap() {
             SnapshotDecode::Current(i) => assert_eq!(i.doc_count(), 1),
             _ => panic!("expected current decode"),
         }
 
-        // Legacy headerless bytes still decode (migration path).
-        let legacy = hac_vfs::persist::encode_value(&index).unwrap();
-        match decode_index_snapshot(&legacy).unwrap() {
-            SnapshotDecode::Current(i) => assert_eq!(i.doc_count(), 1),
-            _ => panic!("expected legacy decode"),
-        }
+        // Headerless bytes are corrupt: there is no migration path.
+        assert!(decode_index_snapshot(&hac_codec::encode_value(&index)).is_err());
 
         // A future version degrades to a counted skew, not an error.
         let mut future = bytes.clone();

@@ -1,8 +1,7 @@
 //! Tests for features beyond the paper's minimum: implicit metadata
-//! attributes, index persistence, and the sparse result representation.
+//! attributes and index persistence.
 
-use hac_core::{HacConfig, HacFs};
-use hac_index::Bitmap;
+use hac_core::HacFs;
 use hac_vfs::VPath;
 
 fn p(s: &str) -> VPath {
@@ -101,43 +100,6 @@ fn load_index_absent_returns_false() {
 
 fn counter_value(snap: &hac_obs::Snapshot, name: &str) -> u64 {
     snap.counter_value(name, &[]).unwrap_or(0)
-}
-
-#[test]
-fn sparse_results_configuration() {
-    let dense_fs = HacFs::new();
-    let sparse_fs = HacFs::with_config(HacConfig {
-        sparse_results: true,
-        ..Default::default()
-    });
-    for fs in [&dense_fs, &sparse_fs] {
-        fs.mkdir(&p("/docs")).unwrap();
-        // Many files, of which only one matches: a sparse result over a
-        // wide universe.
-        for i in 0..512 {
-            fs.save(
-                &p(&format!("/docs/f{i}.txt")),
-                format!("filler{i}").as_bytes(),
-            )
-            .unwrap();
-        }
-        fs.save(&p("/docs/special.txt"), b"needle").unwrap();
-        fs.ssync(&p("/")).unwrap();
-        fs.smkdir(&p("/q"), "needle").unwrap();
-        assert_eq!(fs.readdir(&p("/q")).unwrap().len(), 1);
-    }
-    let dense_bm = dense_fs.result_bitmap(&p("/q")).unwrap();
-    let sparse_bm = sparse_fs.result_bitmap(&p("/q")).unwrap();
-    assert!(matches!(dense_bm, Bitmap::Dense(_)));
-    assert!(matches!(sparse_bm, Bitmap::Sparse(_)));
-    // Identical contents, much smaller representation.
-    assert_eq!(dense_bm.ids(), sparse_bm.ids());
-    assert!(
-        sparse_bm.bytes() < dense_bm.bytes() / 4,
-        "sparse {} vs dense {}",
-        sparse_bm.bytes(),
-        dense_bm.bytes()
-    );
 }
 
 #[test]

@@ -271,7 +271,7 @@ fn corrupt_manifest_degrades_to_cold_rebuild_then_heals() {
 }
 
 #[test]
-fn legacy_snapshots_still_load_and_future_versions_degrade() {
+fn legacy_snapshots_load_only_with_the_envelope_and_future_versions_degrade() {
     use hac_core::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 
     // A store-less fs persists the versioned single-file snapshot.
@@ -304,12 +304,19 @@ fn legacy_snapshots_still_load_and_future_versions_degrade() {
     assert!(versioned.load_index().unwrap());
     assert_eq!(capture(&versioned), state1);
 
-    // Pre-envelope (headerless) snapshot still loads: the migration path.
+    // A pre-envelope (headerless) snapshot is refused as a counted decode
+    // failure; the next ssync rebuilds cold.
+    let failures = || {
+        hac_obs::snapshot()
+            .counter_value("hac_index_snapshot_decode_failures_total", &[])
+            .unwrap_or(0)
+    };
+    let failures_before = failures();
     let headerless = restore(&|raw| {
         raw.drain(..5);
     });
-    assert!(headerless.load_index().unwrap());
-    assert_eq!(capture(&headerless), state1);
+    assert!(!headerless.load_index().unwrap());
+    assert!(failures() > failures_before);
 
     // A future version is refused gracefully (counted skew, cold rebuild).
     let skew_before = hac_obs::snapshot()

@@ -20,7 +20,7 @@ use hac_index::{Bitmap, DocId};
 /// they must leave each shard a disjoint range (the coordinator derives
 /// them from per-shard document counts).
 pub fn union_translated(parts: &[(Bitmap, u64)]) -> Bitmap {
-    let mut out = Bitmap::new_dense();
+    let mut out = Bitmap::new();
     for (local, base) in parts {
         for id in local.ids() {
             out.insert(DocId(id.0 + base));

@@ -16,16 +16,16 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use hac_codec::{Decode, Encode, Reader};
 
 use crate::approx;
-use crate::bitmap::{Bitmap, DenseBitmap, DocId};
+use crate::bitmap::{Bitmap, DocId};
 use crate::expr::ContentExpr;
 use crate::lexicon::{Lexicon, TermId};
 use crate::token::Token;
 
 /// Index addressing granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
     /// Postings address documents directly (classic inverted index).
     Exact,
@@ -44,8 +44,39 @@ impl Default for Granularity {
     }
 }
 
+impl Encode for Granularity {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Granularity::Exact => hac_codec::unit_variant(out, 0),
+            Granularity::Block { docs_per_block } => {
+                hac_codec::variant(out, 1);
+                hac_codec::struct_header(out, 1);
+                docs_per_block.encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for Granularity {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        match r.variant()? {
+            0 => {
+                r.unit()?;
+                Ok(Granularity::Exact)
+            }
+            1 => {
+                r.struct_of(1)?;
+                Ok(Granularity::Block {
+                    docs_per_block: Decode::decode(r)?,
+                })
+            }
+            _ => Err(hac_codec::UNKNOWN_VARIANT),
+        }
+    }
+}
+
 /// Per-document bookkeeping.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DocMeta {
     /// Content version at indexing time (compared by the reindexer).
     pub version: u64,
@@ -54,6 +85,12 @@ pub struct DocMeta {
     /// Number of tokens indexed.
     pub token_count: u32,
 }
+
+hac_codec::impl_codec!(DocMeta {
+    version,
+    block,
+    token_count
+});
 
 /// Source of live document tokens for candidate verification.
 ///
@@ -69,17 +106,6 @@ pub trait DocProvider {
 impl DocProvider for std::collections::HashMap<DocId, Vec<Token>> {
     fn tokens(&self, doc: DocId) -> Option<Vec<Token>> {
         self.get(&doc).cloned()
-    }
-}
-
-/// A provider for indexes that never need verification (exact granularity
-/// with no updates since the last rebuild). Panics if consulted — use only
-/// where verification is statically impossible.
-pub struct NoProvider;
-
-impl DocProvider for NoProvider {
-    fn tokens(&self, _doc: DocId) -> Option<Vec<Token>> {
-        None
     }
 }
 
@@ -133,19 +159,19 @@ pub struct DocDelta {
 }
 
 /// The content index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Index {
     granularity: Granularity,
     lexicon: Lexicon,
-    postings: Vec<DenseBitmap>,
+    postings: Vec<Bitmap>,
     docs: BTreeMap<u64, DocMeta>,
     /// Block → member documents (block granularity only).
     blocks: Vec<Vec<DocId>>,
     /// Live documents (removals are lazy until the next rebuild).
-    live: DenseBitmap,
+    live: Bitmap,
     /// Documents re-added since the last rebuild; exact-granularity postings
     /// may hold stale bits for them, so they are verified at query time.
-    dirty: DenseBitmap,
+    dirty: Bitmap,
     /// Mutation epoch: bumped on every add/remove/rebuild. Cached query
     /// results keyed by this value are valid exactly while it is unchanged.
     ///
@@ -157,6 +183,17 @@ pub struct Index {
     /// (one logged full reindex) instead of a silent decode failure.
     generation: u64,
 }
+
+hac_codec::impl_codec!(Index {
+    granularity,
+    lexicon,
+    postings,
+    docs,
+    blocks,
+    live,
+    dirty,
+    generation
+});
 
 impl Default for Index {
     fn default() -> Self {
@@ -173,8 +210,8 @@ impl Index {
             postings: Vec::new(),
             docs: BTreeMap::new(),
             blocks: Vec::new(),
-            live: DenseBitmap::new(),
-            dirty: DenseBitmap::new(),
+            live: Bitmap::new(),
+            dirty: Bitmap::new(),
             generation: 0,
         }
     }
@@ -208,7 +245,7 @@ impl Index {
 
     /// Bitmap of all live documents.
     pub fn all_docs(&self) -> Bitmap {
-        Bitmap::Dense(self.live.clone())
+        self.live.clone()
     }
 
     /// (Re)indexes one document's tokens at content `version`.
@@ -322,15 +359,15 @@ impl Index {
         }
     }
 
-    fn posting_slot(&mut self, term: TermId) -> &mut DenseBitmap {
+    fn posting_slot(&mut self, term: TermId) -> &mut Bitmap {
         let idx = term.0 as usize;
         if self.postings.len() <= idx {
-            self.postings.resize_with(idx + 1, DenseBitmap::new);
+            self.postings.resize_with(idx + 1, Bitmap::new);
         }
         &mut self.postings[idx]
     }
 
-    fn posting(&self, key: &str) -> Option<&DenseBitmap> {
+    fn posting(&self, key: &str) -> Option<&Bitmap> {
         self.lexicon
             .get(key)
             .and_then(|t| self.postings.get(t.0 as usize))
@@ -389,8 +426,8 @@ impl Index {
         stats: &mut EvalStats,
     ) -> Bitmap {
         match expr {
-            ContentExpr::All => universe.and(&Bitmap::Dense(self.live.clone())),
-            ContentExpr::Nothing => Bitmap::new_dense(),
+            ContentExpr::All => universe.and(&self.live),
+            ContentExpr::Nothing => Bitmap::new(),
             ContentExpr::Term(t) => self.eval_key(t, universe, provider, stats),
             ContentExpr::Field(n, v) => {
                 self.eval_key(&Token::field_key(n, v), universe, provider, stats)
@@ -402,7 +439,7 @@ impl Index {
                     approx::expand(&pat, *k, self.lexicon.iter().map(|(_, key)| key))
                         .map(str::to_string)
                         .collect();
-                let mut acc = Bitmap::new_dense();
+                let mut acc = Bitmap::new();
                 for key in matched {
                     acc = acc.or(&self.eval_key(&key, universe, provider, stats));
                 }
@@ -417,7 +454,7 @@ impl Index {
                     .filter(|key| !key.contains('\u{1f}') && key.starts_with(&prefix))
                     .map(str::to_string)
                     .collect();
-                let mut acc = Bitmap::new_dense();
+                let mut acc = Bitmap::new();
                 for key in matched {
                     acc = acc.or(&self.eval_key(&key, universe, provider, stats));
                 }
@@ -437,7 +474,7 @@ impl Index {
                 left.and_not(&right)
             }
             ContentExpr::Not(a) => {
-                let u = universe.and(&Bitmap::Dense(self.live.clone()));
+                let u = universe.and(&self.live);
                 u.and_not(&self.eval_inner(a, &u, provider, stats))
             }
         }
@@ -451,18 +488,17 @@ impl Index {
         stats: &mut EvalStats,
     ) -> Bitmap {
         let Some(post) = self.posting(key) else {
-            return Bitmap::new_dense();
+            return Bitmap::new();
         };
         stats.postings_scanned += 1;
         match self.granularity {
             Granularity::Exact => {
-                let mut hits = post.clone();
-                hits.intersect_with(&self.live);
-                let hits = Bitmap::Dense(hits).and(universe);
+                let mut hits = post.and(&self.live);
+                hits.intersect_with(universe);
                 stats.candidates += hits.count();
                 // Docs re-added since the last rebuild may carry stale
                 // postings: verify just those.
-                let mut out = Bitmap::new_dense();
+                let mut out = Bitmap::new();
                 for doc in hits.ids() {
                     if self.dirty.contains(doc) {
                         stats.verified += 1;
@@ -478,7 +514,7 @@ impl Index {
                 out
             }
             Granularity::Block { .. } => {
-                let mut out = Bitmap::new_dense();
+                let mut out = Bitmap::new();
                 for block in post.iter() {
                     let Some(members) = self.blocks.get(block.0 as usize) else {
                         continue;
@@ -509,7 +545,7 @@ impl Index {
         stats: &mut EvalStats,
     ) -> Bitmap {
         if words.is_empty() {
-            return Bitmap::new_dense();
+            return Bitmap::new();
         }
         // Conjunction of the member words narrows the candidates…
         let mut cand = universe.clone();
@@ -518,7 +554,7 @@ impl Index {
         }
         // …then adjacency is verified against live content.
         let needle: Vec<String> = words.iter().map(|w| w.to_ascii_lowercase()).collect();
-        let mut out = Bitmap::new_dense();
+        let mut out = Bitmap::new();
         for doc in cand.ids() {
             stats.verified += 1;
             let Some(tokens) = provider.tokens(doc) else {
@@ -544,7 +580,7 @@ impl Index {
             docs: self.docs.len() as u64,
             terms: self.lexicon.len() as u64,
             blocks: self.blocks.len() as u64,
-            postings_bytes: self.postings.iter().map(DenseBitmap::bytes).sum(),
+            postings_bytes: self.postings.iter().map(Bitmap::bytes).sum(),
             lexicon_bytes: self.lexicon.bytes(),
             doc_table_bytes: (self.docs.len() * (8 + std::mem::size_of::<DocMeta>())) as u64
                 + self.blocks.iter().map(|b| b.len() as u64 * 8).sum::<u64>(),

@@ -5,10 +5,10 @@
 //! query language (`hac-query`) additionally has directory references; it
 //! lowers its content parts into this type.
 
-use serde::{Deserialize, Serialize};
+use hac_codec::{Decode, Encode, Reader};
 
 /// A boolean query over indexed content.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ContentExpr {
     /// Matches documents containing the word.
     Term(String),
@@ -35,6 +35,93 @@ pub enum ContentExpr {
     All,
     /// Matches nothing.
     Nothing,
+}
+
+// Variant indexes follow declaration order; one-field variants carry the
+// field bare, wider ones a sequence of their fields.
+impl Encode for ContentExpr {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            ContentExpr::Term(t) => {
+                hac_codec::variant(out, 0);
+                t.encode(out);
+            }
+            ContentExpr::Field(n, v) => {
+                hac_codec::variant(out, 1);
+                (n, v).encode(out);
+            }
+            ContentExpr::Phrase(ws) => {
+                hac_codec::variant(out, 2);
+                ws.encode(out);
+            }
+            ContentExpr::Approx(t, k) => {
+                hac_codec::variant(out, 3);
+                (t, k).encode(out);
+            }
+            ContentExpr::Prefix(t) => {
+                hac_codec::variant(out, 4);
+                t.encode(out);
+            }
+            ContentExpr::And(a, b) => {
+                hac_codec::variant(out, 5);
+                (a, b).encode(out);
+            }
+            ContentExpr::Or(a, b) => {
+                hac_codec::variant(out, 6);
+                (a, b).encode(out);
+            }
+            ContentExpr::AndNot(a, b) => {
+                hac_codec::variant(out, 7);
+                (a, b).encode(out);
+            }
+            ContentExpr::Not(a) => {
+                hac_codec::variant(out, 8);
+                a.encode(out);
+            }
+            ContentExpr::All => hac_codec::unit_variant(out, 9),
+            ContentExpr::Nothing => hac_codec::unit_variant(out, 10),
+        }
+    }
+}
+
+impl Decode for ContentExpr {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        Ok(match r.variant()? {
+            0 => ContentExpr::Term(Decode::decode(r)?),
+            1 => {
+                let (n, v) = Decode::decode(r)?;
+                ContentExpr::Field(n, v)
+            }
+            2 => ContentExpr::Phrase(Decode::decode(r)?),
+            3 => {
+                let (t, k) = Decode::decode(r)?;
+                ContentExpr::Approx(t, k)
+            }
+            4 => ContentExpr::Prefix(Decode::decode(r)?),
+            5 => {
+                let (a, b) = Decode::decode(r)?;
+                ContentExpr::And(a, b)
+            }
+            6 => {
+                let (a, b) = Decode::decode(r)?;
+                ContentExpr::Or(a, b)
+            }
+            7 => {
+                let (a, b) = Decode::decode(r)?;
+                ContentExpr::AndNot(a, b)
+            }
+            8 => ContentExpr::Not(Decode::decode(r)?),
+            9 => {
+                r.unit()?;
+                ContentExpr::All
+            }
+            10 => {
+                r.unit()?;
+                ContentExpr::Nothing
+            }
+            _ => return Err(hac_codec::UNKNOWN_VARIANT),
+        })
+    }
 }
 
 impl ContentExpr {

@@ -2,18 +2,20 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Dense identifier of a term in the lexicon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
 
+hac_codec::impl_codec!(TermId(u32));
+
 /// Bidirectional term ↔ id dictionary.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Lexicon {
     by_key: HashMap<String, TermId>,
     by_id: Vec<String>,
 }
+
+hac_codec::impl_codec!(Lexicon { by_key, by_id });
 
 impl Lexicon {
     /// Creates an empty lexicon.

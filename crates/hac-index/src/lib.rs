@@ -9,8 +9,7 @@
 //! * [`lexicon`] / [`engine`] — a two-level, block-addressed inverted index
 //!   in Glimpse's design (small index + candidate verification), with an
 //!   exact-granularity mode as an ablation point;
-//! * [`bitmap`] — the paper's `N/8`-byte dense result bitmaps plus the
-//!   sparse representation the paper lists as future work;
+//! * [`bitmap`] — the paper's `N/8`-byte result bitmaps;
 //! * [`expr`] — the boolean content-query language (AND / OR / AND NOT /
 //!   NOT, phrases, fields, agrep-style approximate terms);
 //! * [`approx`] — banded edit-distance matching.
@@ -32,7 +31,7 @@ pub mod segment;
 pub mod token;
 pub mod transducer;
 
-pub use bitmap::{Bitmap, DenseBitmap, DocId, SparseBitmap};
+pub use bitmap::{Bitmap, DocId};
 pub use engine::{DocDelta, DocProvider, EvalStats, Granularity, Index, IndexStats};
 pub use expr::ContentExpr;
 pub use lexicon::{Lexicon, TermId};

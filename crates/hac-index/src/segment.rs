@@ -21,15 +21,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmap::DocId;
 use crate::engine::{DocDelta, Index};
 use crate::token::Token;
 
 /// One document's sealed contribution: the tokens that were indexed at
 /// `version`. Mirrors [`DocDelta`] but serializable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentDoc {
     /// The document id.
     pub doc: u64,
@@ -45,8 +43,15 @@ pub struct SegmentDoc {
     pub tokens: Vec<Token>,
 }
 
+hac_codec::impl_codec!(SegmentDoc {
+    doc,
+    version,
+    path,
+    tokens
+});
+
 /// An immutable segment: one committed batch of index change.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Segment {
     /// Commit sequence number (ascending across the store's life; replay
     /// order).
@@ -59,6 +64,13 @@ pub struct Segment {
     /// Documents removed.
     pub removes: Vec<u64>,
 }
+
+hac_codec::impl_codec!(Segment {
+    seq,
+    generation,
+    adds,
+    removes
+});
 
 impl Segment {
     /// Seal an applied delta batch as a segment. `path_of` supplies each

@@ -6,7 +6,7 @@
 //! style of the MIT Semantic File System's transducers, which the paper
 //! cites as the standard way to feed attribute queries.
 
-use serde::{Deserialize, Serialize};
+use hac_codec::{Decode, Encode, Reader};
 
 /// Words shorter than this are not indexed.
 pub const MIN_WORD_LEN: usize = 2;
@@ -23,7 +23,7 @@ pub const STOP_WORDS: &[&str] = &[
 ];
 
 /// One indexable token.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Token {
     /// A plain content word (already case-folded).
     Word(String),
@@ -34,6 +34,34 @@ pub enum Token {
         /// Attribute value (case-folded).
         value: String,
     },
+}
+
+impl Encode for Token {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Token::Word(w) => {
+                hac_codec::variant(out, 0);
+                w.encode(out);
+            }
+            Token::Field { name, value } => {
+                hac_codec::variant(out, 1);
+                (name, value).encode(out);
+            }
+        }
+    }
+}
+
+impl Decode for Token {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        match r.variant()? {
+            0 => Ok(Token::Word(String::decode(r)?)),
+            1 => {
+                let (name, value) = Decode::decode(r)?;
+                Ok(Token::Field { name, value })
+            }
+            _ => Err(hac_codec::UNKNOWN_VARIANT),
+        }
+    }
 }
 
 impl Token {

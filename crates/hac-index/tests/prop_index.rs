@@ -140,19 +140,13 @@ proptest! {
         xs in proptest::collection::btree_set(0u64..512, 0..64),
         ys in proptest::collection::btree_set(0u64..512, 0..64),
         zs in proptest::collection::btree_set(0u64..512, 0..64),
-        dense_a in any::<bool>(),
-        dense_b in any::<bool>(),
     ) {
-        fn mk(ids: &std::collections::BTreeSet<u64>, dense: bool) -> Bitmap {
-            let mut b = if dense { Bitmap::new_dense() } else { Bitmap::new_sparse() };
-            for id in ids {
-                b.insert(DocId(*id));
-            }
-            b
+        fn mk(ids: &std::collections::BTreeSet<u64>) -> Bitmap {
+            Bitmap::from_ids(ids.iter().map(|id| DocId(*id)))
         }
-        let a = mk(&xs, dense_a);
-        let b = mk(&ys, dense_b);
-        let c = mk(&zs, true);
+        let a = mk(&xs);
+        let b = mk(&ys);
+        let c = mk(&zs);
 
         // Commutativity.
         prop_assert_eq!(a.or(&b).ids(), b.or(&a).ids());
@@ -181,17 +175,6 @@ proptest! {
             prop_assert!(a.contains(DocId(*id)));
         }
     }
-
-    #[test]
-    fn dense_sparse_conversion_is_lossless(
-        ids in proptest::collection::btree_set(0u64..4096, 0..128),
-    ) {
-        let dense = Bitmap::from_ids(ids.iter().map(|i| DocId(*i)));
-        let sparse = Bitmap::Sparse(dense.clone().into_sparse());
-        prop_assert_eq!(dense.ids(), sparse.ids());
-        let back = Bitmap::Dense(sparse.into_dense());
-        prop_assert_eq!(back.ids(), dense.ids());
-    }
 }
 
 #[test]
@@ -201,7 +184,7 @@ fn empty_universe_always_yields_empty_results() {
     let tokens = vec![Token::word("alpha")];
     index.add_doc(DocId(0), 1, &tokens);
     let provider: HashMap<DocId, Vec<Token>> = [(DocId(0), tokens)].into_iter().collect();
-    let empty = Bitmap::new_dense();
+    let empty = Bitmap::new();
     for expr in [
         ContentExpr::term("alpha"),
         ContentExpr::All,

@@ -13,9 +13,9 @@
 //! codec per direction:
 //!
 //! * a [`Request`] (`id`, `body`, optional `trace` context) travels in
-//!   the self-describing binary codec the VFS snapshot format uses
-//!   ([`hac_vfs::persist`]) — requests are small, and the codec's strict
-//!   struct arity rejects any other shape;
+//!   the tagged codec of every persisted HAC format ([`hac_codec`]) —
+//!   requests are small, and the codec's strict struct arity rejects any
+//!   other shape;
 //! * a [`Response`] (`id`, optional `server_elapsed_us`, `body`) travels
 //!   in a fixed little-endian layout ([`encode_response_into`] /
 //!   [`decode_response`]) written and parsed with no reflection,
@@ -34,8 +34,7 @@
 
 use std::io::{self, Read, Write};
 
-use serde::{Deserialize, Serialize};
-
+use hac_codec::{Decode, Encode, Reader};
 use hac_core::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 
@@ -55,13 +54,15 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// spans into the client's trace. Mirrors [`hac_obs::TraceContext`];
 /// duplicated here so the wire shape is owned by the protocol, not the
 /// observability crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// The client operation's trace id.
     pub trace_id: u64,
     /// The client-side span issuing this request (parent of server spans).
     pub span_id: u64,
 }
+
+hac_codec::impl_codec!(TraceContext { trace_id, span_id });
 
 impl From<hac_obs::TraceContext> for TraceContext {
     fn from(c: hac_obs::TraceContext) -> Self {
@@ -82,7 +83,7 @@ impl From<TraceContext> for hac_obs::TraceContext {
 }
 
 /// One client→server message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// Client-chosen correlation id; the response echoes it.
     pub id: u64,
@@ -91,6 +92,8 @@ pub struct Request {
     /// Trace context to continue server-side, when the caller is traced.
     pub trace: Option<TraceContext>,
 }
+
+hac_codec::impl_codec!(Request { id, body, trace });
 
 impl Request {
     /// An untraced request.
@@ -104,7 +107,7 @@ impl Request {
 }
 
 /// Operations a client may request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RequestBody {
     /// Liveness + version handshake.
     Ping {
@@ -169,6 +172,71 @@ pub enum RequestBody {
         /// Target namespace (routes to the exporting backend).
         ns: String,
     },
+}
+
+// Variant indexes follow declaration order; every variant but the unit
+// `Capabilities` is a struct variant (a sequence of its fields).
+impl Encode for RequestBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        fn one_field(out: &mut Vec<u8>, index: u64, field: &dyn Encode) {
+            hac_codec::variant(out, index);
+            hac_codec::struct_header(out, 1);
+            field.encode(out);
+        }
+        fn two_fields(out: &mut Vec<u8>, index: u64, fields: &dyn Encode) {
+            hac_codec::variant(out, index);
+            fields.encode(out);
+        }
+        match self {
+            RequestBody::Ping { version } => one_field(out, 0, version),
+            RequestBody::Capabilities => hac_codec::unit_variant(out, 1),
+            RequestBody::Search { ns, query } => two_fields(out, 2, &(ns, query)),
+            RequestBody::Fetch { ns, doc } => two_fields(out, 3, &(ns, doc)),
+            RequestBody::Manifest { ns } => one_field(out, 4, ns),
+            RequestBody::Object { ns, hash } => two_fields(out, 5, &(ns, hash)),
+            RequestBody::ShardMap { ns } => one_field(out, 6, ns),
+            RequestBody::TraceSpans { ns, trace_id } => two_fields(out, 7, &(ns, trace_id)),
+            RequestBody::Metrics { ns } => one_field(out, 8, ns),
+        }
+    }
+}
+
+impl Decode for RequestBody {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        fn one_field<T: Decode>(r: &mut Reader<'_>) -> Result<T, hac_codec::Error> {
+            r.struct_of(1)?;
+            T::decode(r)
+        }
+        Ok(match r.variant()? {
+            0 => RequestBody::Ping {
+                version: one_field(r)?,
+            },
+            1 => {
+                r.unit()?;
+                RequestBody::Capabilities
+            }
+            2 => {
+                let (ns, query) = Decode::decode(r)?;
+                RequestBody::Search { ns, query }
+            }
+            3 => {
+                let (ns, doc) = Decode::decode(r)?;
+                RequestBody::Fetch { ns, doc }
+            }
+            4 => RequestBody::Manifest { ns: one_field(r)? },
+            5 => {
+                let (ns, hash) = Decode::decode(r)?;
+                RequestBody::Object { ns, hash }
+            }
+            6 => RequestBody::ShardMap { ns: one_field(r)? },
+            7 => {
+                let (ns, trace_id) = Decode::decode(r)?;
+                RequestBody::TraceSpans { ns, trace_id }
+            }
+            8 => RequestBody::Metrics { ns: one_field(r)? },
+            _ => return Err(hac_codec::UNKNOWN_VARIANT),
+        })
+    }
 }
 
 impl RequestBody {
@@ -339,17 +407,17 @@ fn invalid(kind: &str) -> io::Error {
 
 /// Encodes a request payload.
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    hac_vfs::persist::encode_value(req).unwrap_or_default()
+    hac_codec::encode_value(req)
 }
 
 /// Decodes a request payload.
 ///
 /// # Errors
 ///
-/// `InvalidData` when the bytes are not a valid [`Request`] — the codec's
-/// strict struct arity refuses any other field count.
+/// `InvalidData` when the bytes are not exactly one valid [`Request`] —
+/// the codec's strict struct arity refuses any other field count.
 pub fn decode_request(bytes: &[u8]) -> io::Result<Request> {
-    hac_vfs::persist::decode_value(bytes).map_err(|_| invalid("request"))
+    hac_codec::decode_value(bytes).map_err(|_| invalid("request"))
 }
 
 /// Incremental HACN frame assembler for nonblocking sockets.

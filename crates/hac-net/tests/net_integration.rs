@@ -318,7 +318,7 @@ fn one_version_and_one_codec_per_direction() {
 
     // The old two-field request shape (tuples and structs encode alike)
     // is refused, not silently accepted — and the connection survives.
-    let old_shape = hac_vfs::persist::encode_value(&(2u64, RequestBody::Capabilities)).unwrap();
+    let old_shape = hac_codec::encode_value(&(2u64, RequestBody::Capabilities));
     let refused = raw_ask(&mut conn, &old_shape);
     assert_eq!(refused.id, 0);
     assert!(matches!(

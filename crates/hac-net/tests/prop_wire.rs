@@ -231,7 +231,7 @@ proptest! {
     /// structs encode alike) must be refused, never silently accepted.
     #[test]
     fn two_field_requests_are_refused(id in any::<u64>(), body in request_strategy()) {
-        let old_shape = hac_vfs::persist::encode_value(&(id, body)).unwrap();
+        let old_shape = hac_codec::encode_value(&(id, body));
         prop_assert!(wire::decode_request(&old_shape).is_err());
     }
 

@@ -37,16 +37,20 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::trace;
 
 /// Read cap for the request head (we never need bodies).
 const MAX_REQUEST_HEAD: usize = 8 * 1024;
+
+/// Longest a shed connection may hold the accept thread while its
+/// request is drained.
+const SHED_DRAIN: Duration = Duration::from_millis(5);
 
 /// Tuning for an [`ObsServer`] (defaults suit a loopback scrape target).
 #[derive(Debug, Clone)]
@@ -130,6 +134,22 @@ impl HttpQueue {
                 b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
                   Content-Length: 9\r\nConnection: close\r\n\r\noverload\n",
             );
+            // Closing a socket whose input is unread makes the kernel send
+            // RST, which can destroy the 503 before the peer reads it: send
+            // FIN after the reply, then read the request until the peer
+            // closes or the short drain window ends.
+            let _ = stream.shutdown(Shutdown::Write);
+            let deadline = Instant::now() + SHED_DRAIN;
+            let mut sink = [0u8; 1024];
+            while let Some(left) = deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+            {
+                let _ = stream.set_read_timeout(Some(left));
+                if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                    break;
+                }
+            }
             return;
         }
         conns.push_back(stream);

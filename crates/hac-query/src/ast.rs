@@ -7,14 +7,12 @@
 //! queries so that renames do not invalidate them; [`DirRef`] models both
 //! states (as-parsed path, bound UID).
 
-use serde::{Deserialize, Serialize};
-
 use hac_index::ContentExpr;
 use hac_vfs::VPath;
 
 /// Stable unique identifier of a directory, as kept in HAC's global
 /// UID ↔ path map. Allocated by the HAC layer, never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DirUid(pub u64);
 
 impl std::fmt::Display for DirUid {
@@ -24,7 +22,7 @@ impl std::fmt::Display for DirUid {
 }
 
 /// A reference to another directory inside a query.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirRef {
     /// As parsed from user input: a path name. Must be bound to a UID
     /// before the query is stored (paths are not rename-stable).
@@ -34,7 +32,7 @@ pub enum DirRef {
 }
 
 /// A node of the query expression tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryExpr {
     /// A content word.
     Term(String),
@@ -170,7 +168,7 @@ impl QueryExpr {
 
 /// A complete query: the expression plus the original source text (kept for
 /// user-facing display and re-parsing).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// The parsed expression.
     pub expr: QueryExpr,

@@ -9,9 +9,10 @@
 //! for GC to sweep.
 //!
 //! Encoding is a fixed hand-rolled binary layout (magic + version byte
-//! up front) rather than the VFS serde codec: the manifest is the
-//! recovery *root*, so it must be decodable before anything else and
-//! must fail loudly — not positionally — when its shape evolves.
+//! up front) rather than the tagged `hac-codec` layout the objects it
+//! names use: the manifest is the recovery *root*, so it must be
+//! decodable before anything else and must fail loudly — not
+//! positionally — when its shape evolves.
 
 use crate::hash::ContentHash;
 use crate::store::{StoreError, StoreResult};

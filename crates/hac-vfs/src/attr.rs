@@ -5,15 +5,15 @@
 //! these stamps against the time of the last index pass to find files whose
 //! content changed since.
 
-use serde::{Deserialize, Serialize};
-
 /// Stable identifier of a file-system object (an inode number).
 ///
 /// `FileId`s are never reused within the lifetime of a [`crate::Vfs`], so
 /// upper layers may safely key long-lived metadata (query results, permanent
 /// and prohibited link sets) by them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
+
+hac_codec::impl_codec!(FileId(u64));
 
 impl FileId {
     /// The id of the namespace root directory.
@@ -28,13 +28,13 @@ impl std::fmt::Display for FileId {
 
 /// Logical timestamp: the value of the VFS mutation counter when the stamped
 /// event happened.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LogicalTime(pub u64);
 
+hac_codec::impl_codec!(LogicalTime(u64));
+
 /// The kind of a file-system node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A regular file with byte content.
     File,
@@ -59,7 +59,7 @@ impl NodeKind {
 ///
 /// This is also the unit cached by the shared attribute cache
 /// ([`crate::attrcache`]), which the paper credits for Scan-phase speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Attr {
     /// The node this attribute block describes.
     pub id: FileId,

@@ -8,18 +8,17 @@
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
+use hac_codec::{Decode, Encode, Reader};
 
 use crate::attr::{Attr, FileId, LogicalTime, NodeKind};
 use crate::path::VPath;
 
 /// Payload of a node, by kind.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum NodeBody {
     /// Regular file content.
     File {
         /// Raw bytes. `Bytes` keeps clone-on-read cheap for the fd layer.
-        #[serde(with = "serde_bytes_compat")]
         data: Bytes,
     },
     /// Directory entries, sorted by name for deterministic `readdir`.
@@ -36,22 +35,44 @@ pub enum NodeBody {
     },
 }
 
-/// Serde shim: serialize `Bytes` as a byte vector.
-mod serde_bytes_compat {
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        b.as_ref().serialize(s)
+// Each variant is a one-field struct variant; file bytes are a sequence
+// of integers.
+impl Encode for NodeBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        fn one_field<T: Encode + ?Sized>(out: &mut Vec<u8>, index: u64, field: &T) {
+            hac_codec::variant(out, index);
+            hac_codec::struct_header(out, 1);
+            field.encode(out);
+        }
+        match self {
+            NodeBody::File { data } => one_field(out, 0, &data[..]),
+            NodeBody::Dir { entries } => one_field(out, 1, entries),
+            NodeBody::Symlink { target } => one_field(out, 2, target),
+        }
     }
+}
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        Ok(Bytes::from(Vec::<u8>::deserialize(d)?))
+impl Decode for NodeBody {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        let index = r.variant()?;
+        r.struct_of(1)?;
+        Ok(match index {
+            0 => NodeBody::File {
+                data: Bytes::from(Vec::<u8>::decode(r)?),
+            },
+            1 => NodeBody::Dir {
+                entries: Decode::decode(r)?,
+            },
+            2 => NodeBody::Symlink {
+                target: Decode::decode(r)?,
+            },
+            _ => return Err(hac_codec::UNKNOWN_VARIANT),
+        })
     }
 }
 
 /// A single inode: identity, bookkeeping, and payload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// This node's id.
     pub id: FileId,
@@ -68,6 +89,16 @@ pub struct Node {
     /// Kind-specific payload.
     pub body: NodeBody,
 }
+
+hac_codec::impl_codec!(Node {
+    id,
+    parent,
+    name,
+    ctime,
+    mtime,
+    version,
+    body
+});
 
 impl Node {
     /// The node kind implied by the payload.
@@ -119,11 +150,13 @@ impl Node {
 }
 
 /// The slab of all nodes in a namespace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeTable {
     nodes: BTreeMap<u64, Node>,
     next_id: u64,
 }
+
+hac_codec::impl_codec!(NodeTable { nodes, next_id });
 
 impl NodeTable {
     /// Creates a table holding only a fresh root directory.

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{VfsError, VfsResult};
 
 /// An absolute, normalized path inside a [`crate::Vfs`] namespace.
@@ -27,10 +25,12 @@ use crate::error::{VfsError, VfsResult};
 /// assert_eq!(p.file_name(), Some("mail"));
 /// assert_eq!(p.parent().unwrap().to_string(), "/home/user");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VPath {
     components: Vec<String>,
 }
+
+hac_codec::impl_codec!(VPath { components });
 
 impl VPath {
     /// The root path `/`.

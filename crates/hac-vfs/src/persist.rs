@@ -1,14 +1,9 @@
 //! Snapshot persistence for a namespace.
 //!
-//! The node table serializes to a compact, self-describing binary envelope
-//! (a small hand-rolled codec over `serde`'s data model would pull in a
-//! format crate; instead we serialize via `serde` to an in-house byte
-//! writer). Snapshots cover the namespace structure and file contents —
-//! descriptor tables, caches and mounts are runtime state and are not
-//! persisted.
-
-use serde::de::value::Error as DeError;
-use serde::{Deserialize, Serialize};
+//! A snapshot is the magic `HACVFS01` followed by the logical clock and the
+//! node table in the `hac_codec` layout. Snapshots cover the namespace structure and
+//! file contents — descriptor tables, caches and mounts are runtime state
+//! and are not persisted.
 
 use crate::error::{VfsError, VfsResult};
 use crate::fs::Vfs;
@@ -17,19 +12,19 @@ use crate::node::NodeTable;
 /// Magic bytes identifying a VFS snapshot.
 const MAGIC: &[u8; 8] = b"HACVFS01";
 
-#[derive(Serialize, Deserialize)]
 struct Snapshot {
     clock: u64,
     nodes: NodeTable,
 }
 
+hac_codec::impl_codec!(Snapshot { clock, nodes });
+
 /// Serializes the namespace to a byte vector.
 ///
 /// # Errors
 ///
-/// Returns [`VfsError::Unsupported`] if encoding fails (cannot happen for
-/// well-formed tables; kept as an error rather than a panic per library
-/// policy).
+/// Never: encoding cannot fail. The `Result` keeps the signature stable
+/// for existing callers.
 pub fn snapshot(vfs: &Vfs) -> VfsResult<Vec<u8>> {
     let snap = Snapshot {
         clock: vfs.clock_value(),
@@ -37,7 +32,7 @@ pub fn snapshot(vfs: &Vfs) -> VfsResult<Vec<u8>> {
     };
     let mut out = Vec::with_capacity(4096);
     out.extend_from_slice(MAGIC);
-    codec::to_writer(&snap, &mut out).map_err(|_| VfsError::Unsupported("snapshot encode"))?;
+    hac_codec::Encode::encode(&snap, &mut out);
     Ok(out)
 }
 
@@ -52,588 +47,10 @@ pub fn restore(vfs: &Vfs, bytes: &[u8]) -> VfsResult<()> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(VfsError::Unsupported("snapshot magic mismatch"));
     }
-    let snap: Snapshot = codec::from_slice(&bytes[MAGIC.len()..])
+    let snap: Snapshot = hac_codec::decode_value(&bytes[MAGIC.len()..])
         .map_err(|_| VfsError::Unsupported("snapshot decode"))?;
     vfs.replace_nodes(snap.nodes, snap.clock);
     Ok(())
-}
-
-/// Minimal self-describing binary codec over the serde data model.
-///
-/// Supports exactly the shapes our snapshot types use: unsigned integers,
-/// strings, byte-ish sequences, options, structs, maps, sequences, unit
-/// variants and newtype structs. Each value is prefixed with a one-byte tag
-/// so decoding is unambiguous.
-mod codec {
-    use serde::de::value::Error;
-    use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
-    use serde::ser::{self, Serialize};
-
-    const T_U64: u8 = 1;
-    const T_STR: u8 = 2;
-    const T_SEQ: u8 = 3;
-    const T_MAP: u8 = 4;
-    const T_NONE: u8 = 5;
-    const T_SOME: u8 = 6;
-    const T_UNIT: u8 = 7;
-    const T_VARIANT: u8 = 8;
-    const T_BOOL: u8 = 9;
-    const T_I64: u8 = 10;
-    const T_F64: u8 = 11;
-    const T_BYTES: u8 = 12;
-
-    pub fn to_writer<T: Serialize>(value: &T, out: &mut Vec<u8>) -> Result<(), Error> {
-        value.serialize(&mut Encoder { out })
-    }
-
-    pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, Error> {
-        let mut d = Decoder { bytes, pos: 0 };
-        let v = T::deserialize(&mut d)?;
-        Ok(v)
-    }
-
-    struct Encoder<'a> {
-        out: &'a mut Vec<u8>,
-    }
-
-    impl Encoder<'_> {
-        fn put_u64(&mut self, v: u64) {
-            self.out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    fn emsg(m: &str) -> Error {
-        de::Error::custom(m)
-    }
-
-    impl<'a, 'b> ser::Serializer for &'a mut Encoder<'b> {
-        type Ok = ();
-        type Error = Error;
-        type SerializeSeq = Self;
-        type SerializeTuple = Self;
-        type SerializeTupleStruct = Self;
-        type SerializeTupleVariant = Self;
-        type SerializeMap = Self;
-        type SerializeStruct = Self;
-        type SerializeStructVariant = Self;
-
-        fn serialize_bool(self, v: bool) -> Result<(), Error> {
-            self.out.push(T_BOOL);
-            self.out.push(v as u8);
-            Ok(())
-        }
-        fn serialize_i8(self, v: i8) -> Result<(), Error> {
-            self.serialize_i64(v as i64)
-        }
-        fn serialize_i16(self, v: i16) -> Result<(), Error> {
-            self.serialize_i64(v as i64)
-        }
-        fn serialize_i32(self, v: i32) -> Result<(), Error> {
-            self.serialize_i64(v as i64)
-        }
-        fn serialize_i64(self, v: i64) -> Result<(), Error> {
-            self.out.push(T_I64);
-            self.out.extend_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-        fn serialize_u8(self, v: u8) -> Result<(), Error> {
-            self.serialize_u64(v as u64)
-        }
-        fn serialize_u16(self, v: u16) -> Result<(), Error> {
-            self.serialize_u64(v as u64)
-        }
-        fn serialize_u32(self, v: u32) -> Result<(), Error> {
-            self.serialize_u64(v as u64)
-        }
-        fn serialize_u64(self, v: u64) -> Result<(), Error> {
-            self.out.push(T_U64);
-            self.put_u64(v);
-            Ok(())
-        }
-        fn serialize_f32(self, v: f32) -> Result<(), Error> {
-            self.serialize_f64(v as f64)
-        }
-        fn serialize_f64(self, v: f64) -> Result<(), Error> {
-            self.out.push(T_F64);
-            self.out.extend_from_slice(&v.to_le_bytes());
-            Ok(())
-        }
-        fn serialize_char(self, v: char) -> Result<(), Error> {
-            self.serialize_str(&v.to_string())
-        }
-        fn serialize_str(self, v: &str) -> Result<(), Error> {
-            self.out.push(T_STR);
-            self.put_u64(v.len() as u64);
-            self.out.extend_from_slice(v.as_bytes());
-            Ok(())
-        }
-        fn serialize_bytes(self, v: &[u8]) -> Result<(), Error> {
-            self.out.push(T_BYTES);
-            self.put_u64(v.len() as u64);
-            self.out.extend_from_slice(v);
-            Ok(())
-        }
-        fn serialize_none(self) -> Result<(), Error> {
-            self.out.push(T_NONE);
-            Ok(())
-        }
-        fn serialize_some<T: ?Sized + Serialize>(self, value: &T) -> Result<(), Error> {
-            self.out.push(T_SOME);
-            value.serialize(self)
-        }
-        fn serialize_unit(self) -> Result<(), Error> {
-            self.out.push(T_UNIT);
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _name: &'static str) -> Result<(), Error> {
-            self.serialize_unit()
-        }
-        fn serialize_unit_variant(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-        ) -> Result<(), Error> {
-            self.out.push(T_VARIANT);
-            self.put_u64(variant_index as u64);
-            self.out.push(T_UNIT);
-            Ok(())
-        }
-        fn serialize_newtype_struct<T: ?Sized + Serialize>(
-            self,
-            _name: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(self)
-        }
-        fn serialize_newtype_variant<T: ?Sized + Serialize>(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            self.out.push(T_VARIANT);
-            self.put_u64(variant_index as u64);
-            value.serialize(self)
-        }
-        fn serialize_seq(self, len: Option<usize>) -> Result<Self, Error> {
-            let len = len.ok_or_else(|| emsg("seq length required"))?;
-            self.out.push(T_SEQ);
-            self.put_u64(len as u64);
-            Ok(self)
-        }
-        fn serialize_tuple(self, len: usize) -> Result<Self, Error> {
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_tuple_struct(self, _name: &'static str, len: usize) -> Result<Self, Error> {
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_tuple_variant(
-            self,
-            _name: &'static str,
-            variant_index: u32,
-            _variant: &'static str,
-            len: usize,
-        ) -> Result<Self, Error> {
-            self.out.push(T_VARIANT);
-            self.put_u64(variant_index as u64);
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_map(self, len: Option<usize>) -> Result<Self, Error> {
-            let len = len.ok_or_else(|| emsg("map length required"))?;
-            self.out.push(T_MAP);
-            self.put_u64(len as u64);
-            Ok(self)
-        }
-        fn serialize_struct(self, _name: &'static str, len: usize) -> Result<Self, Error> {
-            self.serialize_seq(Some(len))
-        }
-        fn serialize_struct_variant(
-            self,
-            name: &'static str,
-            variant_index: u32,
-            variant: &'static str,
-            len: usize,
-        ) -> Result<Self, Error> {
-            self.serialize_tuple_variant(name, variant_index, variant, len)
-        }
-    }
-
-    impl ser::SerializeSeq for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl ser::SerializeTuple for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl ser::SerializeTupleStruct for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl ser::SerializeTupleVariant for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl ser::SerializeMap for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_key<T: ?Sized + Serialize>(&mut self, key: &T) -> Result<(), Error> {
-            key.serialize(&mut **self)
-        }
-        fn serialize_value<T: ?Sized + Serialize>(&mut self, value: &T) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl ser::SerializeStruct for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(
-            &mut self,
-            _key: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl ser::SerializeStructVariant for &mut Encoder<'_> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: ?Sized + Serialize>(
-            &mut self,
-            _key: &'static str,
-            value: &T,
-        ) -> Result<(), Error> {
-            value.serialize(&mut **self)
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-
-    struct Decoder<'de> {
-        bytes: &'de [u8],
-        pos: usize,
-    }
-
-    impl<'de> Decoder<'de> {
-        fn peek(&self) -> Result<u8, Error> {
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| emsg("unexpected end"))
-        }
-        fn take(&mut self) -> Result<u8, Error> {
-            let b = self.peek()?;
-            self.pos += 1;
-            Ok(b)
-        }
-        fn take_u64(&mut self) -> Result<u64, Error> {
-            if self.pos + 8 > self.bytes.len() {
-                return Err(emsg("unexpected end in u64"));
-            }
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-            self.pos += 8;
-            Ok(u64::from_le_bytes(buf))
-        }
-        fn take_slice(&mut self, len: usize) -> Result<&'de [u8], Error> {
-            if self.pos + len > self.bytes.len() {
-                return Err(emsg("unexpected end in slice"));
-            }
-            let s = &self.bytes[self.pos..self.pos + len];
-            self.pos += len;
-            Ok(s)
-        }
-        fn expect(&mut self, tag: u8, what: &str) -> Result<(), Error> {
-            let got = self.take()?;
-            if got != tag {
-                return Err(emsg(&format!("expected {what}, got tag {got}")));
-            }
-            Ok(())
-        }
-    }
-
-    impl<'de> de::Deserializer<'de> for &mut Decoder<'de> {
-        type Error = Error;
-
-        fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            match self.peek()? {
-                T_U64 => {
-                    self.take()?;
-                    visitor.visit_u64(self.take_u64()?)
-                }
-                T_I64 => {
-                    self.take()?;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(self.take_slice(8)?);
-                    visitor.visit_i64(i64::from_le_bytes(buf))
-                }
-                T_F64 => {
-                    self.take()?;
-                    let mut buf = [0u8; 8];
-                    buf.copy_from_slice(self.take_slice(8)?);
-                    visitor.visit_f64(f64::from_le_bytes(buf))
-                }
-                T_BOOL => {
-                    self.take()?;
-                    visitor.visit_bool(self.take()? != 0)
-                }
-                T_STR => {
-                    self.take()?;
-                    let len = self.take_u64()? as usize;
-                    let s =
-                        std::str::from_utf8(self.take_slice(len)?).map_err(|_| emsg("bad utf8"))?;
-                    visitor.visit_str(s)
-                }
-                T_BYTES => {
-                    self.take()?;
-                    let len = self.take_u64()? as usize;
-                    visitor.visit_bytes(self.take_slice(len)?)
-                }
-                T_NONE => {
-                    self.take()?;
-                    visitor.visit_none()
-                }
-                T_SOME => {
-                    self.take()?;
-                    visitor.visit_some(self)
-                }
-                T_UNIT => {
-                    self.take()?;
-                    visitor.visit_unit()
-                }
-                T_SEQ => {
-                    self.take()?;
-                    let len = self.take_u64()? as usize;
-                    visitor.visit_seq(SeqAccess {
-                        de: self,
-                        remaining: len,
-                    })
-                }
-                T_MAP => {
-                    self.take()?;
-                    let len = self.take_u64()? as usize;
-                    visitor.visit_map(MapAccess {
-                        de: self,
-                        remaining: len,
-                    })
-                }
-                T_VARIANT => {
-                    self.take()?;
-                    let idx = self.take_u64()? as u32;
-                    visitor.visit_enum(EnumAccess { de: self, idx })
-                }
-                t => Err(emsg(&format!("unknown tag {t}"))),
-            }
-        }
-
-        fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-            match self.peek()? {
-                T_NONE => {
-                    self.take()?;
-                    visitor.visit_none()
-                }
-                T_SOME => {
-                    self.take()?;
-                    visitor.visit_some(self)
-                }
-                _ => Err(emsg("expected option")),
-            }
-        }
-
-        fn deserialize_struct<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            fields: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.expect(T_SEQ, "struct")?;
-            let len = self.take_u64()? as usize;
-            if len != fields.len() {
-                return Err(emsg("struct arity mismatch"));
-            }
-            visitor.visit_seq(SeqAccess {
-                de: self,
-                remaining: len,
-            })
-        }
-
-        fn deserialize_enum<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            _variants: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.expect(T_VARIANT, "enum")?;
-            let idx = self.take_u64()? as u32;
-            visitor.visit_enum(EnumAccess { de: self, idx })
-        }
-
-        fn deserialize_newtype_struct<V: Visitor<'de>>(
-            self,
-            _name: &'static str,
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            visitor.visit_newtype_struct(self)
-        }
-
-        serde::forward_to_deserialize_any! {
-            bool i8 i16 i32 i64 i128 u8 u16 u32 u64 u128 f32 f64 char str string
-            bytes byte_buf unit unit_struct seq tuple
-            tuple_struct map identifier ignored_any
-        }
-    }
-
-    struct SeqAccess<'a, 'de> {
-        de: &'a mut Decoder<'de>,
-        remaining: usize,
-    }
-
-    impl<'de> de::SeqAccess<'de> for SeqAccess<'_, 'de> {
-        type Error = Error;
-        fn next_element_seed<T: de::DeserializeSeed<'de>>(
-            &mut self,
-            seed: T,
-        ) -> Result<Option<T::Value>, Error> {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            self.remaining -= 1;
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-        fn size_hint(&self) -> Option<usize> {
-            Some(self.remaining)
-        }
-    }
-
-    struct MapAccess<'a, 'de> {
-        de: &'a mut Decoder<'de>,
-        remaining: usize,
-    }
-
-    impl<'de> de::MapAccess<'de> for MapAccess<'_, 'de> {
-        type Error = Error;
-        fn next_key_seed<K: de::DeserializeSeed<'de>>(
-            &mut self,
-            seed: K,
-        ) -> Result<Option<K::Value>, Error> {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            self.remaining -= 1;
-            seed.deserialize(&mut *self.de).map(Some)
-        }
-        fn next_value_seed<V: de::DeserializeSeed<'de>>(
-            &mut self,
-            seed: V,
-        ) -> Result<V::Value, Error> {
-            seed.deserialize(&mut *self.de)
-        }
-        fn size_hint(&self) -> Option<usize> {
-            Some(self.remaining)
-        }
-    }
-
-    struct EnumAccess<'a, 'de> {
-        de: &'a mut Decoder<'de>,
-        idx: u32,
-    }
-
-    impl<'de, 'a> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
-        type Error = Error;
-        type Variant = VariantAccess<'a, 'de>;
-        fn variant_seed<V: de::DeserializeSeed<'de>>(
-            self,
-            seed: V,
-        ) -> Result<(V::Value, Self::Variant), Error> {
-            let idx = self.idx;
-            let v = seed.deserialize(idx.into_deserializer())?;
-            Ok((v, VariantAccess { de: self.de }))
-        }
-    }
-
-    struct VariantAccess<'a, 'de> {
-        de: &'a mut Decoder<'de>,
-    }
-
-    impl<'de> de::VariantAccess<'de> for VariantAccess<'_, 'de> {
-        type Error = Error;
-        fn unit_variant(self) -> Result<(), Error> {
-            self.de.expect(T_UNIT, "unit variant")
-        }
-        fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(
-            self,
-            seed: T,
-        ) -> Result<T::Value, Error> {
-            seed.deserialize(self.de)
-        }
-        fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value, Error> {
-            self.de.expect(T_SEQ, "tuple variant")?;
-            let got = self.de.take_u64()? as usize;
-            if got != len {
-                return Err(emsg("tuple variant arity mismatch"));
-            }
-            visitor.visit_seq(SeqAccess {
-                de: self.de,
-                remaining: len,
-            })
-        }
-        fn struct_variant<V: Visitor<'de>>(
-            self,
-            fields: &'static [&'static str],
-            visitor: V,
-        ) -> Result<V::Value, Error> {
-            self.tuple_variant(fields.len(), visitor)
-        }
-    }
-}
-
-/// Re-export of the codec error type for callers that want details.
-pub type CodecError = DeError;
-
-/// Encodes any serde value with the snapshot codec (shared by the HAC
-/// layer's own metadata persistence).
-pub fn encode_value<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut out = Vec::new();
-    codec::to_writer(value, &mut out)?;
-    Ok(out)
-}
-
-/// Decodes any serde value with the snapshot codec.
-pub fn decode_value<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    codec::from_slice(bytes)
 }
 
 #[cfg(test)]
@@ -682,23 +99,5 @@ mod tests {
         let restored = Vfs::new();
         restore(&restored, &bytes).unwrap();
         assert_eq!(restored.now(), clock);
-    }
-
-    #[test]
-    fn generic_value_roundtrip() {
-        #[derive(Serialize, serde::Deserialize, PartialEq, Debug)]
-        struct Demo {
-            name: String,
-            vals: Vec<u32>,
-            opt: Option<bool>,
-        }
-        let d = Demo {
-            name: "x".into(),
-            vals: vec![1, 2, 3],
-            opt: Some(true),
-        };
-        let bytes = encode_value(&d).unwrap();
-        let back: Demo = decode_value(&bytes).unwrap();
-        assert_eq!(back, d);
     }
 }
