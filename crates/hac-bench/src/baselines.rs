@@ -9,11 +9,10 @@
 //! the same "UNIX".
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, RwLock};
 
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::RwLock;
-
+use hac_obs::sync::{read, write};
 use hac_vfs::{NodeKind, VPath, Vfs};
 
 use crate::fsops::FsOps;
@@ -42,20 +41,18 @@ impl JadeLike {
 
     /// Installs a logical → physical mapping for a path prefix.
     pub fn map_prefix(&self, logical: &str, physical: &str) {
-        self.table
-            .write()
-            .insert(logical.to_string(), physical.to_string());
-        self.cache.write().clear();
+        write(&self.table).insert(logical.to_string(), physical.to_string());
+        write(&self.cache).clear();
     }
 
     fn resolve(&self, path: &VPath) -> Result<VPath, String> {
         let key = path.to_string();
-        if let Some(hit) = self.cache.read().get(&key) {
+        if let Some(hit) = read(&self.cache).get(&key) {
             return Ok(hit.clone());
         }
         // Component-wise translation: at each level, the accumulated
         // logical prefix is looked up in the mapping table.
-        let table = self.table.read();
+        let table = read(&self.table);
         let mut logical = String::new();
         let mut physical = String::new();
         for comp in path.components() {
@@ -73,7 +70,7 @@ impl JadeLike {
             physical.push('/');
         }
         let resolved = VPath::parse(&physical).map_err(|e| e.to_string())?;
-        self.cache.write().insert(key, resolved.clone());
+        write(&self.cache).insert(key, resolved.clone());
         Ok(resolved)
     }
 }
@@ -148,14 +145,14 @@ enum Response {
 /// a server thread that owns the real file system, and the reply marshalled
 /// back — the round-trip structure of Sprite's pseudo-file-systems.
 pub struct PseudoLike {
-    tx: Sender<(Request, Sender<Response>)>,
+    tx: SyncSender<(Request, SyncSender<Response>)>,
     _server: std::thread::JoinHandle<()>,
 }
 
 impl PseudoLike {
     /// Spawns the server thread over a fresh substrate.
     pub fn new() -> Self {
-        let (tx, rx) = bounded::<(Request, Sender<Response>)>(0);
+        let (tx, rx) = sync_channel::<(Request, SyncSender<Response>)>(0);
         let server = std::thread::spawn(move || {
             let vfs = Vfs::new();
             while let Ok((req, reply)) = rx.recv() {
@@ -195,7 +192,7 @@ impl PseudoLike {
     }
 
     fn call(&self, req: Request) -> Response {
-        let (rtx, rrx) = bounded(1);
+        let (rtx, rrx) = sync_channel(1);
         self.tx.send((req, rtx)).expect("pseudo server alive");
         rrx.recv().expect("pseudo server replies")
     }
@@ -209,7 +206,7 @@ impl Default for PseudoLike {
 
 impl Drop for PseudoLike {
     fn drop(&mut self) {
-        let (rtx, _rrx) = bounded(1);
+        let (rtx, _rrx) = sync_channel(1);
         let _ = self.tx.send((Request::Shutdown, rtx));
     }
 }

@@ -76,6 +76,9 @@ impl std::error::Error for Error {}
 /// Error for an enum variant index the decoding type does not have.
 pub const UNKNOWN_VARIANT: Error = Error("unknown variant index");
 
+/// Error for a recursive value nested deeper than its type allows.
+pub const TOO_DEEP: Error = Error("nesting too deep");
+
 /// A value with a byte layout.
 pub trait Encode {
     /// Appends this value's bytes to `out`.

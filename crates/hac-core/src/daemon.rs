@@ -21,13 +21,12 @@
 //! [`DaemonStatus::current_backoff`] and the `hac_reindex_backoff_ms`
 //! gauge.
 
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Sender};
-use parking_lot::Mutex;
-
+use hac_obs::sync::lock;
 use hac_vfs::VPath;
 
 use crate::fs::HacFs;
@@ -61,7 +60,7 @@ impl DaemonStatus {
 
 /// Handle to a running periodic reindexer.
 pub struct ReindexDaemon {
-    stop: Sender<()>,
+    stop: SyncSender<()>,
     handle: Option<JoinHandle<()>>,
     status: Arc<Mutex<DaemonStatus>>,
 }
@@ -83,7 +82,7 @@ impl ReindexDaemon {
     where
         F: Fn(&HacFs) -> crate::error::HacResult<()> + Send + 'static,
     {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
+        let (stop_tx, stop_rx) = sync_channel::<()>(1);
         let status = Arc::new(Mutex::new(DaemonStatus::default()));
         let thread_status = Arc::clone(&status);
         // The daemon is an operational anchor: it installs the configured
@@ -103,8 +102,8 @@ impl ReindexDaemon {
             let mut wait = interval;
             loop {
                 match stop_rx.recv_timeout(wait) {
-                    Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => {
                         // Each pass is an operation root: the span mints a
                         // fresh trace id, and everything ssync touches
                         // (tokenize, resync, remote fetches) nests under it.
@@ -116,7 +115,7 @@ impl ReindexDaemon {
                         // sampler thread runs, otherwise keeps series alive
                         // at daemon cadence.
                         hac_obs::sample_if_due();
-                        let mut status = thread_status.lock();
+                        let mut status = lock(&thread_status);
                         match result {
                             Ok(()) => {
                                 status.ok_passes += 1;
@@ -176,7 +175,7 @@ impl ReindexDaemon {
 
     /// Pass accounting so far, without stopping the daemon.
     pub fn status(&self) -> DaemonStatus {
-        self.status.lock().clone()
+        lock(&self.status).clone()
     }
 
     /// Stops the daemon and returns its final pass accounting.
@@ -185,7 +184,7 @@ impl ReindexDaemon {
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        self.status.lock().clone()
+        lock(&self.status).clone()
     }
 }
 

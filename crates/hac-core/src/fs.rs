@@ -17,11 +17,10 @@
 //! Mutating the wrapped [`Vfs`] directly bypasses HAC bookkeeping, exactly
 //! like bypassing the paper's DLL; use the [`HacFs`] methods.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, RwLock};
 
 use hac_index::{Bitmap, DocId, IndexStats, TransducerRegistry};
+use hac_obs::sync::{read, write};
 use hac_query::{parse, DirUid, Query};
 use hac_vfs::{FileId, NodeKind, VPath, Vfs};
 
@@ -116,7 +115,7 @@ impl HacFs {
 
     /// Current configuration.
     pub fn config(&self) -> HacConfig {
-        self.state.read().config.clone()
+        read(&self.state).config.clone()
     }
 
     // ------------------------------------------------------------------
@@ -124,7 +123,7 @@ impl HacFs {
     // ------------------------------------------------------------------
 
     /// Reads a file, following symlinks. See [`Vfs::read_file`].
-    pub fn read_file(&self, path: &VPath) -> HacResult<bytes::Bytes> {
+    pub fn read_file(&self, path: &VPath) -> HacResult<Arc<[u8]>> {
         Ok(self.vfs.read_file(path)?)
     }
 
@@ -166,7 +165,7 @@ impl HacFs {
     /// the global map — the Makedir-phase overhead of Table 1.
     pub fn mkdir(&self, path: &VPath) -> HacResult<FileId> {
         let id = self.vfs.mkdir(path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         state.persist_dir(&self.vfs, id);
         Ok(id)
     }
@@ -225,7 +224,7 @@ impl HacFs {
         // file-descriptor and the attribute-cache for that file. This
         // helps to speed up Scan and Read operations on that file."
         let _ = self.vfs.stat(path);
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         if !state.config.eager_content_index {
             return Ok(());
         }
@@ -242,7 +241,7 @@ impl HacFs {
     /// direct action).
     pub fn symlink(&self, path: &VPath, target: &VPath) -> HacResult<FileId> {
         let id = self.vfs.symlink(path, target)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let parent_path = path.parent().unwrap_or_else(VPath::root);
         if let Ok(parent) = self.vfs.resolve_nofollow(&parent_path) {
             if state.semdirs.contains_key(&parent) {
@@ -276,7 +275,7 @@ impl HacFs {
     pub fn unlink(&self, path: &VPath) -> HacResult<()> {
         let attr = self.vfs.lstat(path)?;
         let parent_path = path.parent().unwrap_or_else(VPath::root);
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         if attr.kind == NodeKind::Symlink {
             if let Ok(parent) = self.vfs.resolve_nofollow(&parent_path) {
                 if let Some(sd) = state.semdirs.get_mut(&parent) {
@@ -313,7 +312,7 @@ impl HacFs {
     pub fn rmdir(&self, path: &VPath) -> HacResult<()> {
         let id = self.vfs.resolve_nofollow(path)?;
         self.vfs.rmdir(path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         self.forget_dir(&mut state, id);
         let roots = self.ancestor_uids(&state, path);
         state.resync_dependents(&self.vfs, &self.registry, roots)?;
@@ -323,7 +322,7 @@ impl HacFs {
     /// Recursively removes a subtree, tearing down all HAC metadata inside.
     pub fn remove_recursive(&self, path: &VPath) -> HacResult<()> {
         let entries = hac_vfs::walk(&self.vfs, path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         for entry in &entries {
             match entry.attr.kind {
                 NodeKind::Dir => self.forget_dir(&mut state, entry.attr.id),
@@ -368,7 +367,7 @@ impl HacFs {
         let to_parent_path = to.parent().unwrap_or_else(VPath::root);
 
         self.vfs.rename(from, to)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
 
         // Symlink classification transfer.
         if attr.kind == NodeKind::Symlink {
@@ -509,7 +508,7 @@ impl HacFs {
         }
         let mut query = parse(query_text)?;
         let dir = self.vfs.mkdir(path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         if let Err(e) = state.install_query_edges(&self.vfs, dir, &mut query, path) {
             drop(state);
             let _ = self.vfs.rmdir(path);
@@ -528,7 +527,7 @@ impl HacFs {
     pub fn set_query(&self, path: &VPath, query_text: &str) -> HacResult<()> {
         let mut query = parse(query_text)?;
         let dir = self.vfs.resolve_nofollow(path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         if !state.semdirs.contains_key(&dir) {
             return Err(HacError::NotSemantic(path.clone()));
         }
@@ -549,7 +548,7 @@ impl HacFs {
     /// path names (UIDs are translated back through the global map).
     pub fn get_query(&self, path: &VPath) -> HacResult<String> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let sd = state
             .semdirs
             .get(&dir)
@@ -566,7 +565,7 @@ impl HacFs {
     pub fn is_semantic(&self, path: &VPath) -> bool {
         self.vfs
             .resolve_nofollow(path)
-            .map(|id| self.state.read().semdirs.contains_key(&id))
+            .map(|id| read(&self.state).semdirs.contains_key(&id))
             .unwrap_or(false)
     }
 
@@ -591,7 +590,7 @@ impl HacFs {
     pub fn ssync(&self, path: &VPath) -> HacResult<SyncReport> {
         let mut span = hac_obs::span!("ssync", path = path);
         let (plan, threads) = {
-            let state = self.state.read();
+            let state = read(&self.state);
             let threads = state.config.effective_reindex_threads();
             (state.plan_sync(&self.vfs, path), threads)
         };
@@ -605,7 +604,7 @@ impl HacFs {
             .set(threads.clamp(1, plan.to_index.len().max(1)) as i64);
         hac_obs::histogram("hac_reindex_tokenize_duration_us", &[])
             .record(tokenize_start.elapsed().as_micros() as u64);
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let (mut report, dirty, applied) = state.apply_sync(&self.vfs, &plan, docs);
         if let (Some(store), false) = (state.store.as_ref(), applied.is_empty()) {
             // Seal exactly what this apply phase landed into ONE durable
@@ -649,7 +648,7 @@ impl HacFs {
     /// heavyweight periodic reindex; `ssync` is the incremental path).
     pub fn reindex_full(&self) -> HacResult<SyncReport> {
         {
-            let mut state = self.state.write();
+            let mut state = write(&self.state);
             state.reset_index();
             // Every semdir must re-evaluate against the fresh index.
             state.pending_scope_sync = true;
@@ -665,7 +664,7 @@ impl HacFs {
         if !self.vfs.lstat(at)?.is_dir() {
             return Err(HacError::NotADirectory(at.clone()));
         }
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         state.mounts.entry(dir).or_default().push(remote);
         let mut roots = self.ancestor_uids(&state, at);
         if let Some(uid) = state.uids.get_uid(dir) {
@@ -680,7 +679,7 @@ impl HacFs {
     /// resynchronization of each importing directory.
     pub fn sunmount(&self, at: &VPath, ns: Option<&NamespaceId>) -> HacResult<()> {
         let dir = self.vfs.resolve_nofollow(at)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let Some(mounted) = state.mounts.get_mut(&dir) else {
             return Err(HacError::NotMounted(at.clone()));
         };
@@ -708,9 +707,7 @@ impl HacFs {
     /// Namespaces mounted at `at`.
     pub fn mounts_at(&self, at: &VPath) -> HacResult<Vec<NamespaceId>> {
         let dir = self.vfs.resolve_nofollow(at)?;
-        Ok(self
-            .state
-            .read()
+        Ok(read(&self.state)
             .mounts
             .get(&dir)
             .map(|rs| rs.iter().map(|r| r.namespace()).collect())
@@ -726,7 +723,7 @@ impl HacFs {
             .parent()
             .ok_or_else(|| HacError::NoQueryContext(link.clone()))?;
         let parent = self.vfs.resolve_nofollow(&parent_path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let sd = state
             .semdirs
             .get(&parent)
@@ -759,7 +756,7 @@ impl HacFs {
     /// Reads the content behind a symlink — local targets through the
     /// namespace, remote targets through the owning mount.
     pub fn fetch_link(&self, link: &VPath) -> HacResult<Vec<u8>> {
-        let state = self.state.read();
+        let state = read(&self.state);
         self.fetch_link_bytes(&state, link)
     }
 
@@ -783,7 +780,7 @@ impl HacFs {
     /// Lists the classified links of a semantic directory, sorted by name.
     pub fn list_links(&self, path: &VPath) -> HacResult<Vec<LinkInfo>> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let sd = state
             .semdirs
             .get(&dir)
@@ -808,7 +805,7 @@ impl HacFs {
             .parent()
             .ok_or_else(|| HacError::NoQueryContext(link.clone()))?;
         let dir = self.vfs.resolve_nofollow(&parent_path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let sd = state
             .semdirs
             .get_mut(&dir)
@@ -827,7 +824,7 @@ impl HacFs {
     /// The prohibited targets of a semantic directory.
     pub fn list_prohibited(&self, path: &VPath) -> HacResult<Vec<LinkTarget>> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let sd = state
             .semdirs
             .get(&dir)
@@ -841,7 +838,7 @@ impl HacFs {
     /// transient link if the target matches again.
     pub fn forgive(&self, path: &VPath, target: &LinkTarget) -> HacResult<bool> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let sd = state
             .semdirs
             .get_mut(&dir)
@@ -868,7 +865,7 @@ impl HacFs {
     /// rebuild) rather than failing attachment — surfaced via
     /// `hac_store_open_failures_total`.
     pub fn attach_store(&self, backend: Arc<dyn hac_store::ContentStore>) -> HacResult<()> {
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let threshold = state.config.store_merge_threshold;
         let store = match crate::store::IndexStore::open(Arc::clone(&backend), threshold) {
             Ok(store) => store,
@@ -887,12 +884,12 @@ impl HacFs {
 
     /// The attached durable store, if any.
     pub fn store(&self) -> Option<Arc<crate::store::IndexStore>> {
-        self.state.read().store.clone()
+        read(&self.state).store.clone()
     }
 
     /// Current index generation (for tests and recovery assertions).
     pub fn index_generation(&self) -> u64 {
-        self.state.read().index.generation()
+        read(&self.state).index.generation()
     }
 
     /// Persists the content index so a restored snapshot can warm-start
@@ -904,7 +901,7 @@ impl HacFs {
     /// one, it writes the legacy single-file snapshot (now carrying the
     /// versioned `HACI` envelope).
     pub fn persist_index(&self) -> HacResult<()> {
-        let state = self.state.read();
+        let state = read(&self.state);
         if let Some(store) = state.store.as_ref() {
             store.checkpoint(&state.index, &state.doc_paths.dump())?;
             return Ok(());
@@ -928,7 +925,7 @@ impl HacFs {
     /// must carry the versioned `HACI` envelope.
     pub fn load_index(&self) -> HacResult<bool> {
         let (store, granularity) = {
-            let state = self.state.read();
+            let state = read(&self.state);
             (state.store.clone(), state.config.granularity)
         };
         if let Some(store) = store {
@@ -1002,7 +999,7 @@ impl HacFs {
     }
 
     fn install_loaded_index(&self, index: hac_index::Index, restored: Option<Vec<(u64, String)>>) {
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         state.index = index;
         // The loaded index restarts the generation lineage; cached results
         // keyed against the old lineage must not validate against it.
@@ -1057,7 +1054,7 @@ impl HacFs {
     /// oldest segments back under the configured threshold. No-op without
     /// a store.
     pub fn store_maintain(&self) -> HacResult<()> {
-        let state = self.state.read();
+        let state = read(&self.state);
         let Some(store) = state.store.clone() else {
             return Ok(());
         };
@@ -1119,7 +1116,7 @@ impl HacFs {
             Ok(e) => e,
             Err(_) => return Ok(0),
         };
-        let mut state = self.state.write();
+        let mut state = write(&self.state);
         let mut recovered = 0;
         // Pass 1: restore UID bindings (queries reference them).
         let mut records: Vec<(FileId, crate::state::DirRecordDisk)> = Vec::new();
@@ -1206,7 +1203,7 @@ impl HacFs {
     pub fn search(&self, scope_dir: &VPath, query_text: &str) -> HacResult<Vec<VPath>> {
         let query = parse(query_text)?;
         let dir = self.vfs.resolve_nofollow(scope_dir)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         // "Search within this directory" means the reference scope: the
         // curated set for a semantic directory, the subtree for a plain one.
         let scope = state.reference_scope(&self.vfs, dir);
@@ -1229,7 +1226,7 @@ impl HacFs {
     ) -> HacResult<(Vec<VPath>, hac_index::EvalStats)> {
         let query = parse(query_text)?;
         let dir = self.vfs.resolve_nofollow(scope_dir)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let scope = state.reference_scope(&self.vfs, dir);
         let mut stats = hac_index::EvalStats::default();
         let result = state.eval_local_timed(
@@ -1250,14 +1247,14 @@ impl HacFs {
     /// The scope a directory currently provides (diagnostics).
     pub fn scope_of(&self, path: &VPath) -> HacResult<Scope> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         Ok(state.scope_provided(&self.vfs, dir))
     }
 
     /// The last evaluated local result bitmap of a semantic directory.
     pub fn result_bitmap(&self, path: &VPath) -> HacResult<Bitmap> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let sd = state
             .semdirs
             .get(&dir)
@@ -1267,18 +1264,18 @@ impl HacFs {
 
     /// Index statistics (Table 3).
     pub fn index_stats(&self) -> IndexStats {
-        self.state.read().index.stats()
+        read(&self.state).index.stats()
     }
 
     /// Resident bytes of all HAC metadata (§4 in-text space overhead).
     pub fn metadata_bytes(&self) -> u64 {
-        self.state.read().metadata_bytes()
+        read(&self.state).metadata_bytes()
     }
 
     /// Whether a file is currently indexed.
     pub fn is_indexed(&self, path: &VPath) -> bool {
         match self.vfs.resolve(path) {
-            Ok(id) => self.state.read().index.is_indexed(DocId(id.0)),
+            Ok(id) => read(&self.state).index.is_indexed(DocId(id.0)),
             Err(_) => false,
         }
     }
@@ -1295,7 +1292,7 @@ impl HacFs {
     /// form, for tools).
     pub fn query_of(&self, path: &VPath) -> HacResult<Query> {
         let dir = self.vfs.resolve_nofollow(path)?;
-        let state = self.state.read();
+        let state = read(&self.state);
         let sd = state
             .semdirs
             .get(&dir)

@@ -32,18 +32,18 @@
 //! in the shell and benches.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use hac_codec::Encode;
 use hac_index::segment::Segment;
 use hac_index::{Granularity, Index};
+use hac_obs::sync::lock;
 use hac_store::{
     decode_records, encode_record, ContentHash, ContentStore, Manifest, ObjectInfo, SegmentEntry,
     StoreError, StoreResult,
 };
 use hac_vfs::{NodeKind, VPath, Vfs};
-use parking_lot::Mutex;
 
 use crate::state::META_DIR;
 
@@ -458,14 +458,14 @@ impl IndexStore {
 
     /// The sequence number the next committed segment will carry.
     pub fn next_seq(&self) -> u64 {
-        self.inner.lock().next_seq
+        lock(&self.inner).next_seq
     }
 
     /// The current manifest, encoded (HACM bytes) — the export root for
     /// segment-shipped replication. Always a committed state: the inner
     /// mutex means no half-finished commit can be observed.
     pub fn export_manifest(&self) -> Vec<u8> {
-        self.inner.lock().manifest.encode()
+        lock(&self.inner).manifest.encode()
     }
 
     /// One live store object by content hash — segments, the base
@@ -501,7 +501,7 @@ impl IndexStore {
         let start = Instant::now();
         let _span = hac_obs::current_trace().map(|_| hac_obs::span!("store_commit"));
         let bytes = encode_segment(segment);
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         self.backend.wal_append(&encode_record(&bytes))?;
         hac_obs::counter("hac_store_wal_bytes_total", &[]).add(bytes.len() as u64 + 13);
         let hash = self.backend.put(&bytes)?;
@@ -530,7 +530,7 @@ impl IndexStore {
     pub fn recover(&self, granularity: Granularity) -> StoreResult<Option<RecoveredIndex>> {
         let start = Instant::now();
         let _span = hac_obs::current_trace().map(|_| hac_obs::span!("store_recover"));
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut report = RecoveryReport::default();
 
         // Re-read the ref: this handle may have been opened before the
@@ -635,7 +635,7 @@ impl IndexStore {
         let _span = hac_obs::current_trace().map(|_| hac_obs::span!("store_checkpoint"));
         let bytes = encode_index_snapshot(index);
         let path_bytes = encode_doc_paths(paths);
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let base = self.backend.put(&bytes)?;
         let path_sidecar = self.backend.put(&path_bytes)?;
         let manifest = Manifest {
@@ -661,7 +661,7 @@ impl IndexStore {
     /// ([`crate::HacFs::store_maintain`]): once the delta run outweighs
     /// the base it checkpoints instead of re-merging large runs forever.
     pub fn maintain(&self) -> StoreResult<Option<MaintainReport>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let n = inner.manifest.segments.len();
         if n <= self.merge_threshold {
             return Ok(None);
@@ -697,7 +697,7 @@ impl IndexStore {
     /// units: seconds on a real file system, logical ticks in the VFS).
     /// Holding the store mutex, so no commit can be mid-flight.
     pub fn gc(&self, grace: u64) -> StoreResult<GcReport> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let mut live: HashSet<ContentHash> = HashSet::new();
         live.extend(inner.manifest_hash);
         live.extend(inner.manifest.base);
@@ -719,7 +719,7 @@ impl IndexStore {
 
     /// Live status for `hacsh store status`, benches, and tests.
     pub fn status(&self) -> StoreResult<StoreStatus> {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let objects = self.backend.objects()?;
         let wal = self.backend.wal_load()?;
         Ok(StoreStatus {

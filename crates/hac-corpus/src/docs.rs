@@ -6,9 +6,9 @@
 //! frequencies, log-normal-ish file sizes, and a directory fan-out.
 
 use hac_vfs::{VPath, Vfs, VfsResult};
-use rand::Rng;
 
-use crate::words::{rng, Vocabulary};
+use crate::rng::Rng;
+use crate::words::Vocabulary;
 
 /// Parameters of a document collection.
 #[derive(Debug, Clone)]
@@ -73,7 +73,7 @@ pub fn generate_docs(
     spec: &DocCollectionSpec,
 ) -> VfsResult<DocCollection> {
     let vocab = Vocabulary::new(spec.vocab, 1.0);
-    let mut r = rng(spec.seed);
+    let mut r = Rng::seeded(spec.seed);
     vfs.mkdir_p(root)?;
     let mut files = Vec::with_capacity(spec.files);
     let mut bytes = 0u64;
@@ -85,7 +85,7 @@ pub fn generate_docs(
         }
         // Word counts spread geometrically around the mean: many small
         // files, a heavy tail of large ones.
-        let factor: f64 = r.gen_range(0.25..2.5f64);
+        let factor = r.range_f64(0.25..2.5);
         let n = ((spec.mean_words as f64) * factor) as usize + 1;
         let text = vocab.sample_text(&mut r, n);
         let path = dir.join(&format!("doc{i:06}.txt"))?;

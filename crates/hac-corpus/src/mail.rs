@@ -5,9 +5,9 @@
 //! RFC-822-ish messages that the mail transducer can field-index.
 
 use hac_vfs::{VPath, Vfs, VfsResult};
-use rand::Rng;
 
-use crate::words::{rng, Vocabulary};
+use crate::rng::Rng;
+use crate::words::Vocabulary;
 
 /// People appearing in generated mail.
 pub const SENDERS: &[&str] = &["alice", "bob", "carol", "dave", "erin", "frank"];
@@ -54,13 +54,13 @@ pub struct MailMeta {
 /// Propagates VFS errors.
 pub fn generate_mailbox(vfs: &Vfs, root: &VPath, spec: &MailboxSpec) -> VfsResult<Vec<MailMeta>> {
     let vocab = Vocabulary::new(2000, 1.0);
-    let mut r = rng(spec.seed);
+    let mut r = Rng::seeded(spec.seed);
     vfs.mkdir_p(root)?;
     let mut out = Vec::with_capacity(spec.messages);
     for i in 0..spec.messages {
-        let from = SENDERS[r.gen_range(0..SENDERS.len())].to_string();
-        let to = SENDERS[r.gen_range(0..SENDERS.len())].to_string();
-        let topic = TOPICS[r.gen_range(0..TOPICS.len())].to_string();
+        let from = SENDERS[r.range(0..SENDERS.len())].to_string();
+        let to = SENDERS[r.range(0..SENDERS.len())].to_string();
+        let topic = TOPICS[r.range(0..TOPICS.len())].to_string();
         let mut body = vocab.sample_text(&mut r, spec.body_words);
         // The topic word appears in the body too, so content queries and
         // field queries can both find the message.

@@ -7,9 +7,9 @@
 //! and the Make phase has real parsing work to chew on.
 
 use hac_vfs::{VPath, Vfs, VfsResult};
-use rand::Rng;
 
-use crate::words::{rng, Vocabulary};
+use crate::rng::Rng;
+use crate::words::Vocabulary;
 
 /// Parameters of a source tree.
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ pub fn generate_source_tree(
     spec: &SourceTreeSpec,
 ) -> VfsResult<SourceTree> {
     let vocab = Vocabulary::new(800, 1.1);
-    let mut r = rng(spec.seed);
+    let mut r = Rng::seeded(spec.seed);
     vfs.mkdir_p(root)?;
     let mut files = Vec::new();
     let mut bytes = 0u64;
@@ -84,7 +84,7 @@ pub fn generate_source_tree(
                 src.push_str(&format!("int fn_{m:02}_{f}_{fname}(int a, int b) {{\n"));
                 for s in 0..spec.statements {
                     let v = vocab.sample(&mut r);
-                    let k: u32 = r.gen_range(1..97);
+                    let k = r.range(1..97);
                     src.push_str(&format!("    int {v}_{s} = (a * {k} + b) % 257;\n"));
                     src.push_str(&format!("    a = a + {v}_{s};\n"));
                 }

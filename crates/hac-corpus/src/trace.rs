@@ -5,9 +5,9 @@
 //! unit suites.
 
 use hac_vfs::VPath;
-use rand::Rng;
 
-use crate::words::{rng, Vocabulary};
+use crate::rng::Rng;
+use crate::words::Vocabulary;
 
 /// One operation in a trace, expressed path-wise so any file system layer
 /// (raw VFS, HAC, baselines) can replay it.
@@ -57,19 +57,19 @@ impl Default for TraceSpec {
 /// `Mkdir`s so replays never hit missing parents.
 pub fn generate_trace(spec: &TraceSpec) -> Vec<TraceOp> {
     let vocab = Vocabulary::new(500, 1.0);
-    let mut r = rng(spec.seed);
+    let mut r = Rng::seeded(spec.seed);
     let dir = |d: usize| VPath::parse(&format!("/t{d}")).expect("static path");
     let file = |d: usize, f: usize| VPath::parse(&format!("/t{d}/f{f}")).expect("static path");
     let mut out: Vec<TraceOp> = (0..spec.dirs).map(|d| TraceOp::Mkdir(dir(d))).collect();
     for _ in 0..spec.ops {
-        let d = r.gen_range(0..spec.dirs);
-        let f = r.gen_range(0..spec.files_per_dir);
-        let op = match r.gen_range(0..10u32) {
+        let d = r.range(0..spec.dirs);
+        let f = r.range(0..spec.files_per_dir);
+        let op = match r.range(0..10) {
             0..=4 => TraceOp::Save(file(d, f), vocab.sample_text(&mut r, spec.words)),
             5..=6 => TraceOp::Read(file(d, f)),
             7 => TraceOp::Unlink(file(d, f)),
             8 => {
-                let d2 = r.gen_range(0..spec.dirs);
+                let d2 = r.range(0..spec.dirs);
                 TraceOp::Rename(file(d, f), file(d2, spec.files_per_dir + f))
             }
             _ => TraceOp::Read(file(d, f)),

@@ -6,8 +6,7 @@
 //! "queries that match a lot of files" both exist. The sampler is fully
 //! deterministic given a seed.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
 
 /// A deterministic Zipf sampler over a synthetic vocabulary.
 ///
@@ -54,14 +53,14 @@ impl Vocabulary {
     }
 
     /// Samples one word according to the Zipf distribution.
-    pub fn sample(&self, rng: &mut StdRng) -> &str {
-        let x: f64 = rng.gen();
+    pub(crate) fn sample(&self, rng: &mut Rng) -> &str {
+        let x = rng.next_f64();
         let idx = self.cdf.partition_point(|&c| c < x);
         &self.words[idx.min(self.words.len() - 1)]
     }
 
     /// Samples `n` words into a space-separated string.
-    pub fn sample_text(&self, rng: &mut StdRng, n: usize) -> String {
+    pub(crate) fn sample_text(&self, rng: &mut Rng, n: usize) -> String {
         let mut out = String::with_capacity(n * 8);
         for i in 0..n {
             if i > 0 {
@@ -94,14 +93,13 @@ fn synth_word(rank: usize) -> String {
     out
 }
 
-/// Creates the standard seeded RNG used across generators.
-pub fn rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rng(seed: u64) -> Rng {
+        Rng::seeded(seed)
+    }
 
     #[test]
     fn words_are_distinct_and_stable() {

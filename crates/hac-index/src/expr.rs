@@ -86,6 +86,30 @@ impl Encode for ContentExpr {
 
 impl Decode for ContentExpr {
     fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        Self::decode_at(r, 1)
+    }
+}
+
+impl ContentExpr {
+    /// The deepest expression tree ([`ContentExpr::depth`]) the decoder
+    /// and `hac_query::parse` accept. Evaluation, display and drop recurse
+    /// once per level, so the bound is what keeps a hostile request inside
+    /// the frame cap from overflowing a server worker's stack. At 256 the
+    /// deepest accepted query also parses on a 2 MiB thread in a debug
+    /// build, where the parser takes ~4 KB of stack per open parenthesis.
+    pub const MAX_DEPTH: usize = 256;
+
+    /// Decodes a node at tree level `depth` (the root is level 1).
+    fn decode_at(r: &mut Reader<'_>, depth: usize) -> Result<Self, hac_codec::Error> {
+        if depth > Self::MAX_DEPTH {
+            return Err(hac_codec::TOO_DEEP);
+        }
+        let sub = |r: &mut Reader<'_>| Self::decode_at(r, depth + 1).map(Box::new);
+        // A binary node's two children are written as a 2-tuple.
+        let pair = |r: &mut Reader<'_>| -> Result<_, hac_codec::Error> {
+            r.struct_of(2)?;
+            Ok((sub(r)?, sub(r)?))
+        };
         Ok(match r.variant()? {
             0 => ContentExpr::Term(Decode::decode(r)?),
             1 => {
@@ -99,18 +123,18 @@ impl Decode for ContentExpr {
             }
             4 => ContentExpr::Prefix(Decode::decode(r)?),
             5 => {
-                let (a, b) = Decode::decode(r)?;
+                let (a, b) = pair(r)?;
                 ContentExpr::And(a, b)
             }
             6 => {
-                let (a, b) = Decode::decode(r)?;
+                let (a, b) = pair(r)?;
                 ContentExpr::Or(a, b)
             }
             7 => {
-                let (a, b) = Decode::decode(r)?;
+                let (a, b) = pair(r)?;
                 ContentExpr::AndNot(a, b)
             }
-            8 => ContentExpr::Not(Decode::decode(r)?),
+            8 => ContentExpr::Not(sub(r)?),
             9 => {
                 r.unit()?;
                 ContentExpr::All
@@ -122,9 +146,7 @@ impl Decode for ContentExpr {
             _ => return Err(hac_codec::UNKNOWN_VARIANT),
         })
     }
-}
 
-impl ContentExpr {
     /// `a AND b` without manual boxing.
     pub fn and(a: ContentExpr, b: ContentExpr) -> ContentExpr {
         ContentExpr::And(Box::new(a), Box::new(b))
@@ -167,7 +189,7 @@ impl ContentExpr {
         out
     }
 
-    /// Depth of the expression tree (diagnostics, fuzz shrink metric).
+    /// Depth of the expression tree: 1 for a leaf.
     pub fn depth(&self) -> usize {
         match self {
             ContentExpr::And(a, b) | ContentExpr::Or(a, b) | ContentExpr::AndNot(a, b) => {
@@ -242,5 +264,53 @@ mod tests {
         );
         assert_eq!(e.terms(), vec!["a1", "b2", "c3"]);
         assert_eq!(e.depth(), 3);
+    }
+
+    /// An expression exactly `depth` levels deep, cycling through the
+    /// recursive variants so each one's frames are on the stack.
+    fn nested(depth: usize) -> ContentExpr {
+        (1..depth).fold(ContentExpr::term("alpha"), |e, level| match level % 4 {
+            0 => ContentExpr::not(e),
+            1 => ContentExpr::and(e, ContentExpr::All),
+            2 => ContentExpr::or(ContentExpr::Nothing, e),
+            _ => ContentExpr::and_not(e, ContentExpr::Nothing),
+        })
+    }
+
+    #[test]
+    fn decoding_refuses_nesting_past_max_depth() {
+        let deepest = nested(ContentExpr::MAX_DEPTH);
+        assert_eq!(deepest.depth(), ContentExpr::MAX_DEPTH);
+        let bytes = hac_codec::encode_value(&deepest);
+        assert_eq!(hac_codec::decode_value::<ContentExpr>(&bytes), Ok(deepest));
+        let bytes = hac_codec::encode_value(&ContentExpr::not(nested(ContentExpr::MAX_DEPTH)));
+        assert_eq!(
+            hac_codec::decode_value::<ContentExpr>(&bytes),
+            Err(hac_codec::TOO_DEEP)
+        );
+    }
+
+    /// The bound is low enough that the deepest accepted expression
+    /// decodes, evaluates and drops on a default 2 MiB thread, even in an
+    /// unoptimised build.
+    #[test]
+    fn max_depth_fits_a_default_thread_stack() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let bytes = hac_codec::encode_value(&nested(ContentExpr::MAX_DEPTH));
+                let expr: ContentExpr = hac_codec::decode_value(&bytes).unwrap();
+                let mut index = crate::Index::new(crate::Granularity::Exact);
+                index.add_doc(crate::DocId(1), 1, &[crate::Token::word("alpha")]);
+                index.add_doc(crate::DocId(2), 1, &[crate::Token::word("beta")]);
+                let provider = std::collections::HashMap::<crate::DocId, Vec<crate::Token>>::new();
+                let hits = index.eval(&expr, &index.all_docs(), &provider);
+                // 63 NOTs: an odd number, so the complement of {1}.
+                assert_eq!(hits.ids(), vec![crate::DocId(2)]);
+                drop(expr);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -15,11 +15,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use crate::metrics::Counter;
+use crate::sync::lock;
 use crate::trace::{self, TraceContext};
 use crate::Obs;
 
@@ -140,7 +140,7 @@ impl EventRing {
 
     /// Appends an event, evicting the oldest when full.
     pub fn push(&self, event: Event) {
-        let mut events = self.events.lock();
+        let mut events = lock(&self.events);
         if events.len() == self.capacity {
             events.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -153,12 +153,12 @@ impl EventRing {
 
     /// Copies the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.events.lock().iter().cloned().collect()
+        lock(&self.events).iter().cloned().collect()
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        lock(&self.events).len()
     }
 
     /// Whether the ring is empty.

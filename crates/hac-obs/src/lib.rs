@@ -1,4 +1,4 @@
-//! `hac-obs`: dependency-light observability for the HAC workspace.
+//! `hac-obs`: std-only observability for the HAC workspace.
 //!
 //! Three pieces, all in-memory and allocation-frugal:
 //!
@@ -11,6 +11,9 @@
 //! * a slow-op log: spans exceeding a configurable threshold are copied
 //!   to a dedicated ring and counted.
 //!
+//! It also holds the workspace's one lock policy, the poison-ignoring
+//! [`sync::lock`]/[`sync::read`]/[`sync::write`] helpers.
+//!
 //! Most callers use the process-wide instance via [`global()`] and the
 //! top-level convenience functions; tests construct private [`Obs`] or
 //! [`Registry`] values to avoid cross-test interference.
@@ -19,11 +22,12 @@ pub mod events;
 pub mod http;
 pub mod metrics;
 pub mod slo;
+pub mod sync;
 pub mod timeseries;
 pub mod trace;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub use events::{Event, EventRing, SpanGuard};
@@ -183,8 +187,7 @@ pub fn set_slow_op_threshold_micros(micros: u64) {
 
 /// Last-seen totals per mirrored fleet counter, so repeated scrapes add
 /// only the delta (mirrored counters stay monotonic).
-static FLEET_LAST: OnceLock<parking_lot::Mutex<std::collections::HashMap<MetricId, u64>>> =
-    OnceLock::new();
+static FLEET_LAST: OnceLock<Mutex<std::collections::HashMap<MetricId, u64>>> = OnceLock::new();
 
 /// Mirrors a peer's scraped metric snapshot into the *global* registry
 /// under fleet names, feeding the sampler/SLO machinery with fleet-level
@@ -217,7 +220,7 @@ pub fn absorb_fleet(node: &str, snap: &Snapshot) {
         id.labels.push(("node".to_string(), node.to_string()));
         id.labels.sort();
         let value = s.value.max(0) as u64;
-        let mut seen = last.lock();
+        let mut seen = sync::lock(last);
         let prev = seen.insert(id.clone(), value).unwrap_or(0);
         drop(seen);
         let labels: Vec<(&str, &str)> = id

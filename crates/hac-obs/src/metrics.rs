@@ -8,9 +8,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use crate::sync::lock;
 
 /// Number of histogram buckets: bucket 0 holds values ≤ 1, bucket `k`
 /// (1 ≤ k < 64) holds values in `(2^(k-1), 2^k]`, bucket 64 is the
@@ -851,7 +851,7 @@ impl Registry {
     /// type — a programming error in the instrumentation.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let id = MetricId::new(name, labels);
-        let mut metrics = self.metrics.lock();
+        let mut metrics = lock(&self.metrics);
         match metrics
             .entry(id)
             .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
@@ -864,7 +864,7 @@ impl Registry {
     /// Returns (registering on first use) a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let id = MetricId::new(name, labels);
-        let mut metrics = self.metrics.lock();
+        let mut metrics = lock(&self.metrics);
         match metrics
             .entry(id)
             .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicI64::new(0)))))
@@ -877,7 +877,7 @@ impl Registry {
     /// Returns (registering on first use) a histogram.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         let id = MetricId::new(name, labels);
-        let mut metrics = self.metrics.lock();
+        let mut metrics = lock(&self.metrics);
         match metrics
             .entry(id)
             .or_insert_with(|| Metric::Histogram(Histogram(Arc::new(HistogramInner::new()))))
@@ -891,14 +891,14 @@ impl Registry {
     /// Unregistered names fall back to curated/derived text — every
     /// exposed metric always has a HELP line.
     pub fn set_help(&self, name: &str, help: &str) {
-        self.help.lock().insert(name.to_string(), help.to_string());
+        lock(&self.help).insert(name.to_string(), help.to_string());
     }
 
     /// Copies every metric's current value.
     pub fn snapshot(&self) -> Snapshot {
-        let metrics = self.metrics.lock();
+        let metrics = lock(&self.metrics);
         let mut snap = Snapshot {
-            help: self.help.lock().clone(),
+            help: lock(&self.help).clone(),
             ..Snapshot::default()
         };
         for (id, metric) in metrics.iter() {

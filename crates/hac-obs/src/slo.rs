@@ -24,11 +24,10 @@
 //! the [`ObsServer`](crate::ObsServer) and `hacsh slo status` read both.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use crate::events::jstr;
+use crate::sync::lock;
 use crate::timeseries::TimeSeries;
 
 /// The slow burn-rate window, as a multiple of the spec's window.
@@ -343,7 +342,7 @@ impl SloEngine {
     /// Replaces the installed objectives. States restart at OK; the alert
     /// ring is preserved (history survives reconfiguration).
     pub fn install(&self, specs: &[SloSpec]) {
-        let mut slos = self.slos.lock();
+        let mut slos = lock(&self.slos);
         *slos = specs
             .iter()
             .map(|spec| {
@@ -359,7 +358,7 @@ impl SloEngine {
 
     /// Number of installed objectives.
     pub fn len(&self) -> usize {
-        self.slos.lock().len()
+        lock(&self.slos).len()
     }
 
     /// True when no objectives are installed.
@@ -371,7 +370,7 @@ impl SloEngine {
     /// transitions (called once per sampler tick).
     pub fn evaluate(&self, ts: &TimeSeries) {
         let now = ts.now_us();
-        let mut slos = self.slos.lock();
+        let mut slos = lock(&self.slos);
         for rt in slos.iter_mut() {
             crate::counter("hac_slo_evals_total", &[("slo", &rt.spec.name)]).inc();
             let fast = measure(ts, &rt.spec.objective, rt.spec.window_secs);
@@ -413,7 +412,7 @@ impl SloEngine {
                         ("state".to_string(), next.as_str().to_string()),
                     ],
                 );
-                let mut alerts = self.alerts.lock();
+                let mut alerts = lock(&self.alerts);
                 if alerts.len() >= ALERT_RING_CAPACITY {
                     alerts.pop_front();
                 }
@@ -432,8 +431,7 @@ impl SloEngine {
 
     /// Current status of every installed objective.
     pub fn status(&self) -> Vec<SloStatus> {
-        self.slos
-            .lock()
+        lock(&self.slos)
             .iter()
             .map(|rt| SloStatus {
                 spec: rt.spec.clone(),
@@ -445,7 +443,7 @@ impl SloEngine {
 
     /// Recent state transitions, oldest first.
     pub fn recent_alerts(&self) -> Vec<Alert> {
-        self.alerts.lock().iter().cloned().collect()
+        lock(&self.alerts).iter().cloned().collect()
     }
 
     /// JSON for `/alerts`: objectives currently not-OK plus the

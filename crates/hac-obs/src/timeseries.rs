@@ -27,12 +27,11 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use crate::metrics::{bucket_upper_bound, MetricId, Snapshot, HISTOGRAM_BUCKETS};
+use crate::sync::lock;
 
 /// Default sampling interval of the background [`Sampler`].
 pub const DEFAULT_SAMPLE_INTERVAL_MS: u64 = 1000;
@@ -143,7 +142,7 @@ impl TimeSeries {
     /// only (no point), so pre-existing totals don't appear as a spike.
     pub fn sample(&self, snap: &Snapshot) {
         let at_us = self.now_us();
-        let mut series = self.series.lock();
+        let mut series = lock(&self.series);
         for c in &snap.counters {
             let total = c.value.max(0) as u64;
             let entry = series.entry(c.id.clone()).or_insert(Series::Counter {
@@ -233,7 +232,7 @@ impl TimeSeries {
         let cutoff = self
             .now_us()
             .saturating_sub(window_secs.saturating_mul(1_000_000));
-        let series = self.series.lock();
+        let series = lock(&self.series);
         let mut delta = 0u64;
         let mut dt_us = 0u64;
         let mut seen = false;
@@ -265,7 +264,7 @@ impl TimeSeries {
         let cutoff = self
             .now_us()
             .saturating_sub(window_secs.saturating_mul(1_000_000));
-        let series = self.series.lock();
+        let series = lock(&self.series);
         let mut delta = 0u64;
         let mut seen = false;
         for (_, s) in series.range(range_for(name)) {
@@ -301,7 +300,7 @@ impl TimeSeries {
         let cutoff = self
             .now_us()
             .saturating_sub(window_secs.saturating_mul(1_000_000));
-        let series = self.series.lock();
+        let series = lock(&self.series);
         let mut merged = [0u64; HISTOGRAM_BUCKETS];
         let mut total = 0u64;
         for (_, s) in series.range(range_for(name)) {
@@ -343,7 +342,7 @@ impl TimeSeries {
         let cutoff = self
             .now_us()
             .saturating_sub(window_secs.saturating_mul(1_000_000));
-        let series = self.series.lock();
+        let series = lock(&self.series);
         let mut out: Option<GaugeWindow> = None;
         for (_, s) in series.range(range_for(name)) {
             if let Series::Gauge { points } = s {
@@ -375,7 +374,7 @@ impl TimeSeries {
         let cutoff = self
             .now_us()
             .saturating_sub(window_secs.saturating_mul(1_000_000));
-        let series = self.series.lock();
+        let series = lock(&self.series);
         let mut rendered: Vec<String> = Vec::new();
         let mut found = false;
         for (id, s) in series.range(range_for(name)) {
@@ -538,7 +537,7 @@ pub fn global() -> &'static TimeSeries {
 pub fn sample_now() {
     // Serialize samplers (thread, daemon fallback, scrape pull): two
     // concurrent delta computations would double-count.
-    let _gate = SAMPLE_GATE.lock();
+    let _gate = lock(&SAMPLE_GATE);
     let t = Instant::now();
     let ts = global();
     ts.sample(&crate::snapshot());
@@ -677,7 +676,7 @@ mod tests {
             c.inc();
             ts.sample(&reg.snapshot());
         }
-        let series = ts.series.lock();
+        let series = lock(&ts.series);
         match series.values().next().unwrap() {
             Series::Counter { points, .. } => assert_eq!(points.len(), 4),
             _ => panic!("counter series expected"),

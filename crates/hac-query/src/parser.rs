@@ -14,8 +14,16 @@
 //! email`), matching Glimpse's habit. `AND NOT` parses into the dedicated
 //! [`QueryExpr::AndNot`] node the paper's running example uses
 //! ("fingerprint AND NOT murder").
+//!
+//! No query parses into a tree deeper than [`ContentExpr::MAX_DEPTH`], the
+//! bound the wire decoder enforces: that counts nesting by parentheses and
+//! `NOT`, and the length of a left-deep `AND`/`OR` chain. Parentheses nest
+//! the parser even where they add no depth, so more than `MAX_DEPTH` of
+//! them open at once are refused too.
 
 use std::fmt;
+
+use hac_index::ContentExpr;
 
 use crate::ast::{DirRef, Query, QueryExpr};
 use crate::lexer::{lex, LexError, Tok};
@@ -33,6 +41,8 @@ pub enum ParseError {
     MissingOperand(&'static str),
     /// Tokens remained after a complete expression.
     TrailingInput,
+    /// The expression nests deeper than [`ContentExpr::MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -43,6 +53,11 @@ impl fmt::Display for ParseError {
             ParseError::UnbalancedParen => write!(f, "unbalanced parentheses"),
             ParseError::MissingOperand(op) => write!(f, "operator {op} is missing an operand"),
             ParseError::TrailingInput => write!(f, "unexpected trailing input"),
+            ParseError::TooDeep => write!(
+                f,
+                "query nests deeper than {} levels",
+                ContentExpr::MAX_DEPTH
+            ),
         }
     }
 }
@@ -71,8 +86,12 @@ impl From<LexError> for ParseError {
 /// Returns [`ParseError`] on malformed input; never panics.
 pub fn parse(input: &str) -> Result<Query, ParseError> {
     let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0 };
-    let expr = p.parse_or()?;
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        parens: 0,
+    };
+    let (expr, _) = p.parse_or()?;
     if p.pos != p.toks.len() {
         return Err(ParseError::TrailingInput);
     }
@@ -85,6 +104,30 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Parentheses open around the current position: the parser's own
+    /// recursion depth.
+    parens: usize,
+}
+
+/// A parsed subtree and its depth (1 for a leaf).
+type Node = (QueryExpr, usize);
+
+/// Depth of a node over children of depth `a` and `b`, refused past the
+/// bound before the node is built.
+fn parent_depth(a: usize, b: usize) -> Result<usize, ParseError> {
+    let depth = 1 + a.max(b);
+    if depth > ContentExpr::MAX_DEPTH {
+        return Err(ParseError::TooDeep);
+    }
+    Ok(depth)
+}
+
+/// Reports an operator whose operand is absent.
+fn missing(op: &'static str) -> impl Fn(ParseError) -> ParseError {
+    move |e| match e {
+        ParseError::Empty => ParseError::MissingOperand(op),
+        other => other,
+    }
 }
 
 impl Parser {
@@ -104,86 +147,106 @@ impl Parser {
         t
     }
 
-    fn parse_or(&mut self) -> Result<QueryExpr, ParseError> {
-        let mut left = self.parse_and()?;
-        while self.peek_keyword("or") {
-            self.bump();
-            let right = self.parse_and().map_err(|e| match e {
-                ParseError::Empty => ParseError::MissingOperand("OR"),
-                other => other,
-            })?;
-            left = QueryExpr::or(left, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<QueryExpr, ParseError> {
-        let mut left = self.parse_unary()?;
+    /// `or` and the `and` chains under it. Both levels loop rather than
+    /// recurse, so only parentheses nest the parser.
+    fn parse_or(&mut self) -> Result<Node, ParseError> {
+        let mut or: Option<Node> = None;
         loop {
-            // Explicit AND [NOT]?
-            if self.peek_keyword("and") {
-                self.bump();
-                if self.peek_keyword("not") {
+            let first = self.parse_unary();
+            let (mut left, mut depth) = match or {
+                Some(_) => first.map_err(missing("OR"))?,
+                None => first?,
+            };
+            loop {
+                // Explicit AND [NOT], or juxtaposition: another primary
+                // begins here.
+                let op = if self.peek_keyword("and") {
                     self.bump();
-                    let right = self.parse_unary().map_err(|e| match e {
-                        ParseError::Empty => ParseError::MissingOperand("AND NOT"),
-                        other => other,
-                    })?;
-                    left = QueryExpr::and_not(left, right);
+                    if self.peek_keyword("not") {
+                        self.bump();
+                        "AND NOT"
+                    } else {
+                        "AND"
+                    }
                 } else {
-                    let right = self.parse_unary().map_err(|e| match e {
-                        ParseError::Empty => ParseError::MissingOperand("AND"),
-                        other => other,
-                    })?;
-                    left = QueryExpr::and(left, right);
-                }
-                continue;
+                    match self.peek() {
+                        Some(Tok::Word(w)) if w == "or" => break,
+                        Some(Tok::RParen) | None => break,
+                        Some(_) => "AND",
+                    }
+                };
+                let (right, d) = self.parse_unary().map_err(missing(op))?;
+                depth = parent_depth(depth, d)?;
+                left = if op == "AND" {
+                    QueryExpr::and(left, right)
+                } else {
+                    QueryExpr::and_not(left, right)
+                };
             }
-            // Juxtaposition: another primary begins here?
-            match self.peek() {
-                Some(Tok::Word(w)) if w == "or" => break,
-                Some(Tok::RParen) | None => break,
-                Some(_) => {
-                    let right = self.parse_unary()?;
-                    left = QueryExpr::and(left, right);
-                }
+            or = Some(match or {
+                Some((acc, d)) => (QueryExpr::or(acc, left), parent_depth(d, depth)?),
+                None => (left, depth),
+            });
+            if !self.peek_keyword("or") {
+                return Ok(or.expect("one operand parsed"));
             }
-        }
-        Ok(left)
-    }
-
-    fn parse_unary(&mut self) -> Result<QueryExpr, ParseError> {
-        if self.peek_keyword("not") {
             self.bump();
-            let inner = self.parse_unary().map_err(|e| match e {
-                ParseError::Empty => ParseError::MissingOperand("NOT"),
-                other => other,
-            })?;
-            return Ok(QueryExpr::not(inner));
         }
-        self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<QueryExpr, ParseError> {
+    /// `unary` and the `primary` under it.
+    fn parse_unary(&mut self) -> Result<Node, ParseError> {
+        let mut nots = 0;
+        while self.peek_keyword("not") {
+            self.bump();
+            nots += 1;
+        }
+        let primary = if matches!(self.peek(), Some(Tok::LParen)) {
+            self.bump();
+            self.parse_group()
+        } else {
+            leaf(self.bump())
+        };
+        let (mut expr, mut depth) = match nots {
+            0 => primary?,
+            _ => primary.map_err(missing("NOT"))?,
+        };
+        for _ in 0..nots {
+            depth = parent_depth(depth, 0)?;
+            expr = QueryExpr::not(expr);
+        }
+        Ok((expr, depth))
+    }
+
+    /// The rest of `'(' query ')'`.
+    fn parse_group(&mut self) -> Result<Node, ParseError> {
+        if self.parens >= ContentExpr::MAX_DEPTH {
+            return Err(ParseError::TooDeep);
+        }
+        self.parens += 1;
+        let inner = self.parse_or()?;
+        self.parens -= 1;
         match self.bump() {
-            Some(Tok::LParen) => {
-                let inner = self.parse_or()?;
-                match self.bump() {
-                    Some(Tok::RParen) => Ok(inner),
-                    _ => Err(ParseError::UnbalancedParen),
-                }
-            }
-            Some(Tok::RParen) => Err(ParseError::UnbalancedParen),
-            Some(Tok::Word(w)) => Ok(QueryExpr::Term(w)),
-            Some(Tok::Field(n, v)) => Ok(QueryExpr::Field(n, v)),
-            Some(Tok::Phrase(ws)) => Ok(QueryExpr::Phrase(ws)),
-            Some(Tok::Approx(t, k)) => Ok(QueryExpr::Approx(t, k)),
-            Some(Tok::Prefix(t)) => Ok(QueryExpr::Prefix(t)),
-            Some(Tok::PathRef(p)) => Ok(QueryExpr::Dir(DirRef::Path(p))),
-            Some(Tok::Star) => Ok(QueryExpr::All),
-            None => Err(ParseError::Empty),
+            Some(Tok::RParen) => Ok(inner),
+            _ => Err(ParseError::UnbalancedParen),
         }
     }
+}
+
+/// A primary that is not a group.
+fn leaf(tok: Option<Tok>) -> Result<Node, ParseError> {
+    let expr = match tok {
+        None => return Err(ParseError::Empty),
+        Some(Tok::LParen | Tok::RParen) => return Err(ParseError::UnbalancedParen),
+        Some(Tok::Word(w)) => QueryExpr::Term(w),
+        Some(Tok::Field(n, v)) => QueryExpr::Field(n, v),
+        Some(Tok::Phrase(ws)) => QueryExpr::Phrase(ws),
+        Some(Tok::Approx(t, k)) => QueryExpr::Approx(t, k),
+        Some(Tok::Prefix(t)) => QueryExpr::Prefix(t),
+        Some(Tok::PathRef(p)) => QueryExpr::Dir(DirRef::Path(p)),
+        Some(Tok::Star) => QueryExpr::All,
+    };
+    Ok((expr, 1))
 }
 
 #[cfg(test)]
@@ -269,6 +332,38 @@ mod tests {
     #[test]
     fn keywords_case_insensitive() {
         assert_eq!(show("a and b or not c"), "((a AND b) OR (NOT c))");
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_refused() {
+        let max = ContentExpr::MAX_DEPTH;
+        let depth = |q: &str| parse(q).map(|q| q.expr.content_projection().depth());
+        // NOT chains, parentheses around them, and left-deep AND/OR chains
+        // all count; exactly MAX_DEPTH parses.
+        let nots = |n: usize| format!("{}a", "NOT ".repeat(n));
+        assert_eq!(depth(&nots(max - 1)), Ok(max));
+        assert_eq!(depth(&nots(max)), Err(ParseError::TooDeep));
+        let parens = |n: usize| format!("{}{}{}", "(NOT ".repeat(n), "a", ")".repeat(n));
+        assert_eq!(depth(&parens(max - 1)), Ok(max));
+        assert_eq!(depth(&parens(max)), Err(ParseError::TooDeep));
+        let chain = |n: usize, op: &str| {
+            let mut q = "a".to_string();
+            for _ in 0..n {
+                q.push_str(op);
+            }
+            q
+        };
+        for op in [" OR a", " AND a", " AND NOT a", " a"] {
+            assert_eq!(depth(&chain(max - 1, op)), Ok(max), "{op}");
+            assert_eq!(depth(&chain(max, op)), Err(ParseError::TooDeep), "{op}");
+        }
+        // Redundant parentheses nest the parser, so they are bounded too,
+        // and a hostile nesting fails without exhausting the stack.
+        let wrapped = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(depth(&wrapped(max)), Ok(1));
+        assert_eq!(depth(&wrapped(100_000)), Err(ParseError::TooDeep));
+        assert_eq!(depth(&nots(100_000)), Err(ParseError::TooDeep));
+        assert_eq!(depth(&chain(100_000, " OR a")), Err(ParseError::TooDeep));
     }
 }
 

@@ -8,11 +8,11 @@
 //! side.
 
 use std::collections::BTreeMap;
-
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 use hac_core::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem};
 use hac_index::{tokenize_text, ContentExpr, Token};
+use hac_obs::sync::{read, write};
 
 /// A flat (hierarchy-free, link-free) file store.
 pub struct FlatFileServer {
@@ -31,24 +31,22 @@ impl FlatFileServer {
 
     /// Stores a file under a flat name (no `/` semantics).
     pub fn put(&self, name: &str, content: &[u8]) {
-        self.files
-            .write()
-            .insert(name.to_string(), content.to_vec());
+        write(&self.files).insert(name.to_string(), content.to_vec());
     }
 
     /// Deletes a file.
     pub fn delete(&self, name: &str) -> bool {
-        self.files.write().remove(name).is_some()
+        write(&self.files).remove(name).is_some()
     }
 
     /// Number of stored files.
     pub fn len(&self) -> usize {
-        self.files.read().len()
+        read(&self.files).len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.files.read().is_empty()
+        read(&self.files).is_empty()
     }
 
     fn matches(expr: &ContentExpr, tokens: &[Token]) -> bool {
@@ -90,7 +88,7 @@ impl RemoteQuerySystem for FlatFileServer {
 
     fn search(&self, query: &ContentExpr) -> Result<Vec<RemoteDoc>, RemoteError> {
         crate::observed(&self.ns, "search", || {
-            let files = self.files.read();
+            let files = read(&self.files);
             Ok(files
                 .iter()
                 .filter(|(_, content)| Self::matches(query, &tokenize_text(content)))
@@ -104,8 +102,7 @@ impl RemoteQuerySystem for FlatFileServer {
 
     fn fetch(&self, id: &str) -> Result<Vec<u8>, RemoteError> {
         crate::observed(&self.ns, "fetch", || {
-            self.files
-                .read()
+            read(&self.files)
                 .get(id)
                 .cloned()
                 .ok_or_else(|| RemoteError::NotFound(id.to_string()))

@@ -9,12 +9,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 use std::time::Duration;
-
-use parking_lot::RwLock;
 
 use hac_core::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem};
 use hac_index::{tokenize_text, Bitmap, ContentExpr, DocId, Granularity, Index, Token};
+use hac_obs::sync::{read, write};
 
 pub use hac_core::FailurePolicy;
 
@@ -59,12 +59,12 @@ impl WebSearchSim {
 
     /// Sets the failure policy (can be changed at runtime for tests).
     pub fn set_failure_policy(&self, policy: FailurePolicy) {
-        *self.policy.write() = policy;
+        *write(&self.policy) = policy;
     }
 
     /// Publishes (or replaces) a document.
     pub fn publish(&self, id: &str, title: &str, content: &[u8]) {
-        let mut store = self.store.write();
+        let mut store = write(&self.store);
         let doc = match store.by_id.get(id) {
             Some(d) => *d,
             None => {
@@ -83,7 +83,7 @@ impl WebSearchSim {
 
     /// Removes a document.
     pub fn retract(&self, id: &str) {
-        let mut store = self.store.write();
+        let mut store = write(&self.store);
         if let Some(doc) = store.by_id.remove(id) {
             store.index.remove_doc(DocId(doc));
             store.docs.remove(&doc);
@@ -97,7 +97,7 @@ impl WebSearchSim {
 
     /// Number of published documents.
     pub fn doc_count(&self) -> usize {
-        self.store.read().docs.len()
+        read(&self.store).docs.len()
     }
 
     fn gate(&self) -> Result<(), RemoteError> {
@@ -105,7 +105,7 @@ impl WebSearchSim {
         if !self.latency.is_zero() {
             std::thread::sleep(self.latency);
         }
-        self.policy.read().check(n)
+        read(&self.policy).check(n)
     }
 }
 
@@ -128,7 +128,7 @@ impl RemoteQuerySystem for WebSearchSim {
     fn search(&self, query: &ContentExpr) -> Result<Vec<RemoteDoc>, RemoteError> {
         crate::observed(&self.ns, "search", || {
             self.gate()?;
-            let store = self.store.read();
+            let store = read(&self.store);
             let universe: Bitmap = store.index.all_docs();
             let hits = store.index.eval(query, &universe, &StoreProvider(&store));
             let mut out = Vec::new();
@@ -148,7 +148,7 @@ impl RemoteQuerySystem for WebSearchSim {
     fn fetch(&self, id: &str) -> Result<Vec<u8>, RemoteError> {
         crate::observed(&self.ns, "fetch", || {
             self.gate()?;
-            let store = self.store.read();
+            let store = read(&self.store);
             let doc = store
                 .by_id
                 .get(id)

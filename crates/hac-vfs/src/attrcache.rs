@@ -8,8 +8,9 @@
 //! memory footprint (the paper quotes ~16 KB per process).
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
+use hac_obs::sync::lock;
 
 use crate::attr::{Attr, FileId};
 
@@ -71,7 +72,7 @@ impl AttrCache {
 
     /// Looks up an attribute, counting a hit or miss.
     pub fn get(&self, id: FileId) -> Option<Attr> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         match inner.map.get_mut(&id) {
@@ -90,7 +91,7 @@ impl AttrCache {
 
     /// Inserts or refreshes an attribute, evicting if over capacity.
     pub fn put(&self, attr: Attr) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.clock += 1;
         let clock = inner.clock;
         inner.map.insert(attr.id, (attr, clock));
@@ -109,7 +110,7 @@ impl AttrCache {
 
     /// Drops the cached attribute for `id`, if present.
     pub fn invalidate(&self, id: FileId) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.map.remove(&id).is_some() {
             inner.stats.invalidations += 1;
         }
@@ -117,17 +118,17 @@ impl AttrCache {
 
     /// Empties the cache (used when restoring a snapshot).
     pub fn clear(&self) {
-        self.inner.lock().map.clear();
+        lock(&self.inner).map.clear();
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        lock(&self.inner).stats
     }
 
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        lock(&self.inner).map.len()
     }
 
     /// Whether the cache is empty.

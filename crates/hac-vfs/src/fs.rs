@@ -3,7 +3,7 @@
 //! [`Vfs`] is the substrate the HAC layer builds on: a thread-safe,
 //! in-process hierarchical file system with regular files, directories,
 //! symbolic links, per-process file descriptors, a shared attribute cache,
-//! read-through syntactic mount points, and a mutation event stream.
+//! and read-through syntactic mount points.
 //!
 //! The public surface deliberately mirrors the narrow API the paper's HAC
 //! prototype required from its native file system ("HAC interacts with UNIX
@@ -11,18 +11,16 @@
 //! system").
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
-use bytes::Bytes;
-use parking_lot::RwLock;
+use hac_obs::sync::{read, write};
 
 use crate::attr::{Attr, FileId, LogicalTime, NodeKind};
 use crate::attrcache::{AttrCache, CacheStats};
 use crate::error::{VfsError, VfsResult};
-use crate::event::{EventBus, VfsEvent};
 use crate::fd::{Fd, OpenMode, ProcessId, ProcessRegistry};
 use crate::node::{Node, NodeBody, NodeTable};
-use crate::path::VPath;
+use crate::path::{is_component, VPath};
 
 /// Maximum number of symbolic links a single resolution may traverse before
 /// the VFS reports a cycle.
@@ -146,7 +144,6 @@ pub struct Vfs {
     inner: RwLock<Inner>,
     attr_cache: AttrCache,
     procs: RwLock<ProcessRegistry>,
-    events: EventBus,
     counters: SyscallCounters,
 }
 
@@ -172,23 +169,17 @@ impl Vfs {
             }),
             attr_cache: AttrCache::new(cache_entries),
             procs: RwLock::new(ProcessRegistry::default()),
-            events: EventBus::new(),
             counters: SyscallCounters::default(),
         }
     }
 
     // ------------------------------------------------------------------
-    // Events, processes, statistics
+    // Processes, statistics
     // ------------------------------------------------------------------
-
-    /// Subscribes to the mutation event stream.
-    pub fn subscribe(&self) -> crossbeam::channel::Receiver<VfsEvent> {
-        self.events.subscribe()
-    }
 
     /// Registers a lightweight process (owner of a descriptor table).
     pub fn spawn_process(&self) -> ProcessId {
-        self.procs.write().spawn()
+        write(&self.procs).spawn()
     }
 
     /// Tears down a process and its descriptors.
@@ -197,7 +188,7 @@ impl Vfs {
     ///
     /// [`VfsError::BadProcess`] if the process is unknown.
     pub fn exit_process(&self, pid: ProcessId) -> VfsResult<()> {
-        self.procs.write().exit(pid)
+        write(&self.procs).exit(pid)
     }
 
     /// Snapshot of the substrate-call counters.
@@ -213,23 +204,23 @@ impl Vfs {
     /// Resident bytes of per-process state (descriptor tables), mirroring
     /// the paper's ~16 KB/process shared-memory figure.
     pub fn process_resident_bytes(&self) -> u64 {
-        self.procs.read().resident_bytes() + self.attr_cache.resident_bytes()
+        read(&self.procs).resident_bytes() + self.attr_cache.resident_bytes()
     }
 
     /// Approximate metadata footprint of the namespace in bytes (no file
     /// content), for the §4 space-overhead comparison.
     pub fn metadata_bytes(&self) -> u64 {
-        self.inner.read().nodes.metadata_bytes()
+        read(&self.inner).nodes.metadata_bytes()
     }
 
     /// Number of live nodes, including the root.
     pub fn node_count(&self) -> usize {
-        self.inner.read().nodes.len()
+        read(&self.inner).nodes.len()
     }
 
     /// Current logical time.
     pub fn now(&self) -> LogicalTime {
-        LogicalTime(self.inner.read().clock)
+        LogicalTime(read(&self.inner).clock)
     }
 
     // ------------------------------------------------------------------
@@ -276,7 +267,7 @@ impl Vfs {
     ///
     /// [`VfsError::NotFound`] if the node is not live.
     pub fn path_of(&self, id: FileId) -> VfsResult<VPath> {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let mut names: Vec<String> = Vec::new();
         let mut cur = id;
         let mut hops = 0usize;
@@ -318,7 +309,7 @@ impl Vfs {
             IntoMount(Arc<Vfs>, VPath),
         }
         let redirect = {
-            let inner = self.inner.read();
+            let inner = read(&self.inner);
             let comps: Vec<&str> = path.components().collect();
             let mut cur = FileId::ROOT;
             let mut redirect = None;
@@ -368,7 +359,7 @@ impl Vfs {
                 // A trailing mount point swallows the node it covers, unless
                 // the caller manages mounts and needs the covered node.
                 if cross_trailing_mount {
-                    if let Some(foreign) = self.inner.read().mount_at(id) {
+                    if let Some(foreign) = read(&self.inner).mount_at(id) {
                         return Ok(Target::Foreign(foreign, VPath::root()));
                     }
                 }
@@ -409,7 +400,7 @@ impl Vfs {
         if let Some(attr) = self.attr_cache.get(id) {
             return Ok(attr);
         }
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let node = inner
             .nodes
             .get(id)
@@ -426,17 +417,17 @@ impl Vfs {
     ///
     /// [`VfsError::IsADirectory`] when the path names a directory, plus the
     /// resolution errors.
-    pub fn read_file(&self, path: &VPath) -> VfsResult<Bytes> {
+    pub fn read_file(&self, path: &VPath) -> VfsResult<Arc<[u8]>> {
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         match self.resolve_target(path, true, 0)? {
             Target::Local(id) => {
-                let inner = self.inner.read();
+                let inner = read(&self.inner);
                 let node = inner
                     .nodes
                     .get(id)
                     .ok_or_else(|| VfsError::NotFound(path.clone()))?;
                 match &node.body {
-                    NodeBody::File { data } => Ok(data.clone()),
+                    NodeBody::File { data } => Ok(Arc::clone(data)),
                     NodeBody::Dir { .. } => Err(VfsError::IsADirectory(path.clone())),
                     NodeBody::Symlink { .. } => Err(VfsError::DanglingLink(path.clone())),
                 }
@@ -450,7 +441,7 @@ impl Vfs {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         match self.resolve_target(path, false, 0)? {
             Target::Local(id) => {
-                let inner = self.inner.read();
+                let inner = read(&self.inner);
                 let node = inner
                     .nodes
                     .get(id)
@@ -469,7 +460,7 @@ impl Vfs {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         match self.resolve_target(path, true, 0)? {
             Target::Local(id) => {
-                let inner = self.inner.read();
+                let inner = read(&self.inner);
                 let node = inner
                     .nodes
                     .get(id)
@@ -513,28 +504,18 @@ impl Vfs {
     pub fn mkdir(&self, path: &VPath) -> VfsResult<FileId> {
         self.counters.creates.fetch_add(1, Ordering::Relaxed);
         let (parent, name) = self.require_local_parent(path)?;
-        let event;
-        let id;
-        {
-            let mut inner = self.inner.write();
-            id = Self::insert_child(&mut inner, parent, &name, path, |id, t| Node {
-                id,
-                parent,
-                name: name.clone(),
-                ctime: t,
-                mtime: t,
-                version: 0,
-                body: NodeBody::Dir {
-                    entries: Default::default(),
-                },
-            })?;
-            event = VfsEvent::DirCreated {
-                id,
-                path: path.clone(),
-            };
-        }
+        let id = Self::insert_child(&mut write(&self.inner), parent, &name, path, |id, t| Node {
+            id,
+            parent,
+            name: name.clone(),
+            ctime: t,
+            mtime: t,
+            version: 0,
+            body: NodeBody::Dir {
+                entries: Default::default(),
+            },
+        })?;
         self.attr_cache.invalidate(parent);
-        self.events.publish(event);
         Ok(id)
     }
 
@@ -564,26 +545,18 @@ impl Vfs {
     pub fn create(&self, path: &VPath) -> VfsResult<FileId> {
         self.counters.creates.fetch_add(1, Ordering::Relaxed);
         let (parent, name) = self.require_local_parent(path)?;
-        let event;
-        let id;
-        {
-            let mut inner = self.inner.write();
-            id = Self::insert_child(&mut inner, parent, &name, path, |id, t| Node {
-                id,
-                parent,
-                name: name.clone(),
-                ctime: t,
-                mtime: t,
-                version: 0,
-                body: NodeBody::File { data: Bytes::new() },
-            })?;
-            event = VfsEvent::FileCreated {
-                id,
-                path: path.clone(),
-            };
-        }
+        let id = Self::insert_child(&mut write(&self.inner), parent, &name, path, |id, t| Node {
+            id,
+            parent,
+            name: name.clone(),
+            ctime: t,
+            mtime: t,
+            version: 0,
+            body: NodeBody::File {
+                data: Arc::from([]),
+            },
+        })?;
         self.attr_cache.invalidate(parent);
-        self.events.publish(event);
         Ok(id)
     }
 
@@ -591,37 +564,26 @@ impl Vfs {
     pub fn symlink(&self, path: &VPath, target: &VPath) -> VfsResult<FileId> {
         self.counters.creates.fetch_add(1, Ordering::Relaxed);
         let (parent, name) = self.require_local_parent(path)?;
-        let event;
-        let id;
-        {
-            let mut inner = self.inner.write();
-            let target = target.clone();
-            id = Self::insert_child(&mut inner, parent, &name, path, |id, t| Node {
-                id,
-                parent,
-                name: name.clone(),
-                ctime: t,
-                mtime: t,
-                version: 0,
-                body: NodeBody::Symlink {
-                    target: target.clone(),
-                },
-            })?;
-            event = VfsEvent::SymlinkCreated {
-                id,
-                path: path.clone(),
+        let id = Self::insert_child(&mut write(&self.inner), parent, &name, path, |id, t| Node {
+            id,
+            parent,
+            name: name.clone(),
+            ctime: t,
+            mtime: t,
+            version: 0,
+            body: NodeBody::Symlink {
                 target: target.clone(),
-            };
-        }
+            },
+        })?;
         self.attr_cache.invalidate(parent);
-        self.events.publish(event);
         Ok(id)
     }
 
     /// Creates many symbolic links in one directory under a single lock
-    /// acquisition. Either all links are created or none (the batch is
-    /// validated for collisions first). Used by bulk producers like HAC's
-    /// scope resynchronization, where per-link locking would dominate.
+    /// acquisition. Either all links are created or none: every name is
+    /// checked (well-formed, no collision) before anything is inserted.
+    /// Used by bulk producers like HAC's scope resynchronization, where
+    /// per-link locking would dominate.
     pub fn symlink_batch(&self, dir: &VPath, links: &[(String, VPath)]) -> VfsResult<Vec<FileId>> {
         if links.is_empty() {
             return Ok(Vec::new());
@@ -633,10 +595,9 @@ impl Vfs {
             Target::Local(id) => id,
             Target::Foreign(..) => return Err(VfsError::CrossMount(dir.clone())),
         };
-        let mut events = Vec::with_capacity(links.len());
         let mut ids = Vec::with_capacity(links.len());
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             {
                 let pnode = inner
@@ -646,15 +607,13 @@ impl Vfs {
                 let entries = pnode
                     .dir_entries()
                     .ok_or_else(|| VfsError::NotADirectory(dir.clone()))?;
-                for (name, _) in links {
-                    if entries.contains_key(name) {
-                        return Err(VfsError::AlreadyExists(dir.join(name)?));
-                    }
-                }
                 // Duplicate names inside the batch are also collisions.
-                let mut seen = std::collections::HashSet::new();
+                let mut seen = std::collections::HashSet::with_capacity(links.len());
                 for (name, _) in links {
-                    if !seen.insert(name.as_str()) {
+                    if !is_component(name) {
+                        return Err(VfsError::InvalidPath(name.clone()));
+                    }
+                    if entries.contains_key(name) || !seen.insert(name.as_str()) {
                         return Err(VfsError::AlreadyExists(dir.join(name)?));
                     }
                 }
@@ -672,12 +631,6 @@ impl Vfs {
                         target: target.clone(),
                     },
                 });
-                let path = dir.join(name)?;
-                events.push(VfsEvent::SymlinkCreated {
-                    id,
-                    path,
-                    target: target.clone(),
-                });
                 ids.push(id);
             }
             let pnode = inner
@@ -691,9 +644,6 @@ impl Vfs {
             }
         }
         self.attr_cache.invalidate(parent);
-        for event in events {
-            self.events.publish(event);
-        }
         Ok(ids)
     }
 
@@ -737,9 +687,8 @@ impl Vfs {
             Target::Local(id) => id,
             Target::Foreign(..) => return Err(VfsError::CrossMount(path.clone())),
         };
-        let event;
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             let node = inner
                 .nodes
@@ -747,21 +696,15 @@ impl Vfs {
                 .ok_or_else(|| VfsError::NotFound(path.clone()))?;
             match &mut node.body {
                 NodeBody::File { data: d } => {
-                    *d = Bytes::copy_from_slice(data);
+                    *d = Arc::from(data);
                     node.mtime = t;
                     node.version += 1;
-                    event = VfsEvent::FileWritten {
-                        id,
-                        path: path.clone(),
-                        new_version: node.version,
-                    };
                 }
                 NodeBody::Dir { .. } => return Err(VfsError::IsADirectory(path.clone())),
                 NodeBody::Symlink { .. } => return Err(VfsError::DanglingLink(path.clone())),
             }
         }
         self.attr_cache.invalidate(id);
-        self.events.publish(event);
         Ok(())
     }
 
@@ -782,9 +725,8 @@ impl Vfs {
             Target::Local(id) => id,
             Target::Foreign(..) => return Err(VfsError::CrossMount(path.clone())),
         };
-        let event;
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             let node = inner
                 .nodes
@@ -795,21 +737,15 @@ impl Vfs {
                     let mut buf = Vec::with_capacity(d.len() + data.len());
                     buf.extend_from_slice(d);
                     buf.extend_from_slice(data);
-                    *d = Bytes::from(buf);
+                    *d = buf.into();
                     node.mtime = t;
                     node.version += 1;
-                    event = VfsEvent::FileWritten {
-                        id,
-                        path: path.clone(),
-                        new_version: node.version,
-                    };
                 }
                 NodeBody::Dir { .. } => return Err(VfsError::IsADirectory(path.clone())),
                 NodeBody::Symlink { .. } => return Err(VfsError::DanglingLink(path.clone())),
             }
         }
         self.attr_cache.invalidate(id);
-        self.events.publish(event);
         Ok(())
     }
 
@@ -818,10 +754,9 @@ impl Vfs {
     pub fn unlink(&self, path: &VPath) -> VfsResult<()> {
         self.counters.removes.fetch_add(1, Ordering::Relaxed);
         let (parent, name) = self.require_local_parent(path)?;
-        let event;
         let removed;
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             let id = {
                 let pnode = inner
@@ -853,15 +788,9 @@ impl Vfs {
                 .remove(&name);
             inner.nodes.remove(id);
             removed = id;
-            event = VfsEvent::Removed {
-                id,
-                path: path.clone(),
-                was_dir: false,
-            };
         }
         self.attr_cache.invalidate(removed);
         self.attr_cache.invalidate(parent);
-        self.events.publish(event);
         Ok(())
     }
 
@@ -869,10 +798,9 @@ impl Vfs {
     pub fn rmdir(&self, path: &VPath) -> VfsResult<()> {
         self.counters.removes.fetch_add(1, Ordering::Relaxed);
         let (parent, name) = self.require_local_parent(path)?;
-        let event;
         let removed;
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             let id = {
                 let pnode = inner
@@ -912,15 +840,9 @@ impl Vfs {
                 .remove(&name);
             inner.nodes.remove(id);
             removed = id;
-            event = VfsEvent::Removed {
-                id,
-                path: path.clone(),
-                was_dir: true,
-            };
         }
         self.attr_cache.invalidate(removed);
         self.attr_cache.invalidate(parent);
-        self.events.publish(event);
         Ok(())
     }
 
@@ -950,10 +872,9 @@ impl Vfs {
         }
         let (from_parent, from_name) = self.require_local_parent(from)?;
         let (to_parent, to_name) = self.require_local_parent(to)?;
-        let event;
         let moved;
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             let id = {
                 let pnode = inner
@@ -995,13 +916,8 @@ impl Vfs {
                     .ok_or_else(|| VfsError::NotFound(to.clone()))?
                     .parent;
             }
-            let is_dir;
-            {
-                let node = inner
-                    .nodes
-                    .get(id)
-                    .ok_or_else(|| VfsError::NotFound(from.clone()))?;
-                is_dir = node.kind() == NodeKind::Dir;
+            if inner.nodes.get(id).is_none() {
+                return Err(VfsError::NotFound(from.clone()));
             }
             inner
                 .nodes
@@ -1032,17 +948,10 @@ impl Vfs {
                 .expect("source parent vanished")
                 .mtime = t;
             moved = id;
-            event = VfsEvent::Renamed {
-                id,
-                from: from.clone(),
-                to: to.clone(),
-                is_dir,
-            };
         }
         self.attr_cache.invalidate(moved);
         self.attr_cache.invalidate(from_parent);
         self.attr_cache.invalidate(to_parent);
-        self.events.publish(event);
         Ok(())
     }
 
@@ -1057,7 +966,7 @@ impl Vfs {
     pub fn mount(&self, at: &VPath, ns: Arc<Vfs>) -> VfsResult<()> {
         let id = self.resolve_nofollow(at)?;
         {
-            let inner = self.inner.read();
+            let inner = read(&self.inner);
             let node = inner
                 .nodes
                 .get(id)
@@ -1066,27 +975,23 @@ impl Vfs {
                 return Err(VfsError::NotADirectory(at.clone()));
             }
         }
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         if inner.mount_at(id).is_some() {
             return Err(VfsError::AlreadyExists(at.clone()));
         }
         inner.mounts.push((id, ns));
-        drop(inner);
-        self.events.publish(VfsEvent::Mounted { at: at.clone() });
         Ok(())
     }
 
     /// Detaches a foreign namespace from a mount point.
     pub fn unmount(&self, at: &VPath) -> VfsResult<()> {
         let id = self.resolve_nofollow(at)?;
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         let before = inner.mounts.len();
         inner.mounts.retain(|(m, _)| *m != id);
         if inner.mounts.len() == before {
             return Err(VfsError::NotFound(at.clone()));
         }
-        drop(inner);
-        self.events.publish(VfsEvent::Unmounted { at: at.clone() });
         Ok(())
     }
 
@@ -1114,7 +1019,7 @@ impl Vfs {
             Err(e) => return Err(e),
         };
         {
-            let inner = self.inner.read();
+            let inner = read(&self.inner);
             let node = inner
                 .nodes
                 .get(id)
@@ -1123,15 +1028,15 @@ impl Vfs {
                 return Err(VfsError::IsADirectory(path.clone()));
             }
         }
-        let mut procs = self.procs.write();
+        let mut procs = write(&self.procs);
         Ok(procs.table_mut(pid)?.open(id, mode))
     }
 
     /// Reads up to `len` bytes at the descriptor's offset, advancing it.
-    pub fn read_fd(&self, pid: ProcessId, fd: Fd, len: usize) -> VfsResult<Bytes> {
+    pub fn read_fd(&self, pid: ProcessId, fd: Fd, len: usize) -> VfsResult<Vec<u8>> {
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         let (file, offset) = {
-            let procs = self.procs.read();
+            let procs = read(&self.procs);
             let of = *procs.table(pid)?.get(fd)?;
             if !of.mode.can_read() {
                 return Err(VfsError::BadMode("descriptor not open for reading"));
@@ -1139,7 +1044,7 @@ impl Vfs {
             (of.file, of.offset)
         };
         let chunk = {
-            let inner = self.inner.read();
+            let inner = read(&self.inner);
             let node = inner
                 .nodes
                 .get(file)
@@ -1148,12 +1053,12 @@ impl Vfs {
                 NodeBody::File { data } => {
                     let start = (offset as usize).min(data.len());
                     let end = (start + len).min(data.len());
-                    data.slice(start..end)
+                    data[start..end].to_vec()
                 }
                 _ => return Err(VfsError::BadMode("descriptor does not refer to a file")),
             }
         };
-        let mut procs = self.procs.write();
+        let mut procs = write(&self.procs);
         procs.table_mut(pid)?.get_mut(fd)?.offset = offset + chunk.len() as u64;
         Ok(chunk)
     }
@@ -1163,16 +1068,15 @@ impl Vfs {
     pub fn write_fd(&self, pid: ProcessId, fd: Fd, data: &[u8]) -> VfsResult<usize> {
         self.counters.writes.fetch_add(1, Ordering::Relaxed);
         let (file, offset) = {
-            let procs = self.procs.read();
+            let procs = read(&self.procs);
             let of = *procs.table(pid)?.get(fd)?;
             if !of.mode.can_write() {
                 return Err(VfsError::BadMode("descriptor not open for writing"));
             }
             (of.file, of.offset)
         };
-        let event;
         {
-            let mut inner = self.inner.write();
+            let mut inner = write(&self.inner);
             let t = inner.tick();
             let node = inner
                 .nodes
@@ -1190,47 +1094,29 @@ impl Vfs {
                         buf.resize(end, 0);
                     }
                     buf[start..end].copy_from_slice(data);
-                    *d = Bytes::from(buf);
+                    *d = buf.into();
                     node.mtime = t;
                     node.version += 1;
-                    event = VfsEvent::FileWritten {
-                        id: file,
-                        path: VPath::root(),
-                        new_version: node.version,
-                    };
                 }
                 _ => return Err(VfsError::BadMode("descriptor does not refer to a file")),
             }
         }
         self.attr_cache.invalidate(file);
-        // Descriptor writes report the file id; the path may have changed
-        // since open, so consumers needing a path should call `path_of`.
-        let event = match event {
-            VfsEvent::FileWritten {
-                id, new_version, ..
-            } => VfsEvent::FileWritten {
-                id,
-                path: self.path_of(file).unwrap_or_else(|_| VPath::root()),
-                new_version,
-            },
-            other => other,
-        };
-        self.events.publish(event);
-        let mut procs = self.procs.write();
+        let mut procs = write(&self.procs);
         procs.table_mut(pid)?.get_mut(fd)?.offset = offset + data.len() as u64;
         Ok(data.len())
     }
 
     /// Repositions a descriptor's offset.
     pub fn seek(&self, pid: ProcessId, fd: Fd, offset: u64) -> VfsResult<()> {
-        let mut procs = self.procs.write();
+        let mut procs = write(&self.procs);
         procs.table_mut(pid)?.get_mut(fd)?.offset = offset;
         Ok(())
     }
 
     /// Closes a descriptor.
     pub fn close(&self, pid: ProcessId, fd: Fd) -> VfsResult<()> {
-        let mut procs = self.procs.write();
+        let mut procs = write(&self.procs);
         procs.table_mut(pid)?.close(fd)
     }
 
@@ -1244,7 +1130,7 @@ impl Vfs {
         // Collect under the lock, call back outside it, so `f` may re-enter
         // the VFS.
         let snapshot: Vec<(FileId, Attr)> = {
-            let inner = self.inner.read();
+            let inner = read(&self.inner);
             inner.nodes.iter().map(|n| (n.id, n.attr())).collect()
         };
         for (id, attr) in snapshot {
@@ -1256,12 +1142,12 @@ impl Vfs {
 
     /// Clones the raw node table (for snapshot persistence).
     pub(crate) fn clone_nodes(&self) -> NodeTable {
-        self.inner.read().nodes.clone()
+        read(&self.inner).nodes.clone()
     }
 
     /// Replaces the node table wholesale (snapshot restore). Clears caches.
     pub(crate) fn replace_nodes(&self, nodes: NodeTable, clock: u64) {
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         inner.nodes = nodes;
         inner.clock = clock;
         drop(inner);
@@ -1269,6 +1155,6 @@ impl Vfs {
     }
 
     pub(crate) fn clock_value(&self) -> u64 {
-        self.inner.read().clock
+        read(&self.inner).clock
     }
 }

@@ -12,7 +12,6 @@
 //! * per-process file-descriptor tables ([`fd`]) and a shared attribute
 //!   cache ([`attrcache`]), the two structures the paper charges the Andrew
 //!   benchmark's Copy/Read and Scan phases to;
-//! * a mutation [`event`] stream for reindex daemons and tests;
 //! * subtree [`mod@walk`] helpers and snapshot [`persist`]ence.
 //!
 //! Everything is deterministic: time is a logical mutation counter, ids are
@@ -24,7 +23,6 @@
 pub mod attr;
 pub mod attrcache;
 pub mod error;
-pub mod event;
 pub mod fd;
 pub mod fs;
 pub mod node;
@@ -35,7 +33,6 @@ pub mod walk;
 pub use attr::{Attr, FileId, LogicalTime, NodeKind};
 pub use attrcache::{AttrCache, CacheStats};
 pub use error::{VfsError, VfsResult};
-pub use event::{EventBus, VfsEvent};
 pub use fd::{Fd, OpenMode, ProcessId};
 pub use fs::{CreatePolicy, DirEntry, SyscallSnapshot, Vfs};
 pub use path::VPath;

@@ -6,8 +6,8 @@
 //! a new object.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use bytes::Bytes;
 use hac_codec::{Decode, Encode, Reader};
 
 use crate::attr::{Attr, FileId, LogicalTime, NodeKind};
@@ -18,8 +18,9 @@ use crate::path::VPath;
 pub enum NodeBody {
     /// Regular file content.
     File {
-        /// Raw bytes. `Bytes` keeps clone-on-read cheap for the fd layer.
-        data: Bytes,
+        /// Raw bytes, shared: a whole-file read clones the `Arc`, not the
+        /// content.
+        data: Arc<[u8]>,
     },
     /// Directory entries, sorted by name for deterministic `readdir`.
     Dir {
@@ -58,7 +59,7 @@ impl Decode for NodeBody {
         r.struct_of(1)?;
         Ok(match index {
             0 => NodeBody::File {
-                data: Bytes::from(Vec::<u8>::decode(r)?),
+                data: Vec::<u8>::decode(r)?.into(),
             },
             1 => NodeBody::Dir {
                 entries: Decode::decode(r)?,
@@ -270,7 +271,9 @@ mod tests {
             ctime: LogicalTime(1),
             mtime: LogicalTime(1),
             version: 0,
-            body: NodeBody::File { data: Bytes::new() },
+            body: NodeBody::File {
+                data: Arc::from([]),
+            },
         });
         t.remove(a);
         let c = t.alloc_id();
@@ -288,7 +291,7 @@ mod tests {
             mtime: LogicalTime(0),
             version: 0,
             body: NodeBody::File {
-                data: Bytes::from_static(b"hello"),
+                data: Arc::from(&b"hello"[..]),
             },
         };
         assert_eq!(file.size(), 5);
@@ -321,7 +324,9 @@ mod tests {
             ctime: LogicalTime(1),
             mtime: LogicalTime(1),
             version: 0,
-            body: NodeBody::File { data: Bytes::new() },
+            body: NodeBody::File {
+                data: Arc::from([]),
+            },
         });
         assert!(t.metadata_bytes() > before);
     }

@@ -79,7 +79,7 @@ impl VPath {
         let mut components = Vec::new();
         for c in iter {
             let c: String = c.into();
-            if c.is_empty() || c == "." || c == ".." || c.contains('/') || c.contains('\0') {
+            if !is_component(&c) {
                 return Err(VfsError::InvalidPath(c));
             }
             components.push(c);
@@ -119,12 +119,7 @@ impl VPath {
     ///
     /// Returns [`VfsError::InvalidPath`] for malformed component names.
     pub fn join(&self, name: &str) -> VfsResult<VPath> {
-        if name.is_empty()
-            || name == "."
-            || name == ".."
-            || name.contains('/')
-            || name.contains('\0')
-        {
+        if !is_component(name) {
             return Err(VfsError::InvalidPath(name.to_string()));
         }
         let mut components = self.components.clone();
@@ -155,6 +150,12 @@ impl VPath {
         components.extend_from_slice(&self.components[old_prefix.components.len()..]);
         Some(VPath { components })
     }
+}
+
+/// Whether `name` is a well-formed path component: non-empty, not `.` or
+/// `..`, and free of `/` and NUL.
+pub(crate) fn is_component(name: &str) -> bool {
+    !(name.is_empty() || name == "." || name == ".." || name.contains(['/', '\0']))
 }
 
 impl fmt::Display for VPath {

@@ -483,4 +483,28 @@ fn hostile_bytes_fail_closed_in_every_format() {
         }
     }
     assert!(variants_seen > 0);
+
+    // Too deep: a search whose query is `nots` NOTs over one term. Just
+    // past ContentExpr::MAX_DEPTH is refused, and so is a 4.5 MB chain,
+    // well inside the frame cap, that would otherwise exhaust the
+    // decoding thread's stack. The bound itself still decodes.
+    let term = hac_codec::encode_value(&ContentExpr::term("alpha"));
+    let search = wire::encode_request(&Request::new(
+        3,
+        RequestBody::Search {
+            ns: "web".into(),
+            query: ContentExpr::term("alpha"),
+        },
+    ));
+    let at = search.windows(term.len()).position(|w| w == term).unwrap();
+    let mut not = vec![T_VARIANT];
+    not.extend_from_slice(&8u64.to_le_bytes());
+    let nested = |nots: usize| [&search[..at], &not.repeat(nots), &search[at..]].concat();
+    assert!(wire::decode_request(&nested(ContentExpr::MAX_DEPTH - 1)).is_ok());
+    for nots in [ContentExpr::MAX_DEPTH, 500_000] {
+        assert!(
+            wire::decode_request(&nested(nots)).is_err(),
+            "{nots} nested NOTs decoded"
+        );
+    }
 }
