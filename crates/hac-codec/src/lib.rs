@@ -1,11 +1,15 @@
-//! # hac-codec — the tagged byte codec
+//! # hac-codec — HAC's byte layouts
 //!
-//! One byte layout serves every structured value HAC writes: VFS
-//! snapshots (`HACVFS01`), index snapshots (`HACI`), segments (`HACS`),
-//! path sidecars (`HACP`), the per-directory metadata records of the
-//! paper's §4, and HACN requests. Each value is a one-byte tag followed
-//! by its payload, so a decoder checks every value's shape before it
-//! trusts it:
+//! Every byte HAC persists or sends goes through this crate, in one of
+//! two layouts, and every versioned object opens with one [`envelope`]:
+//! a magic from the [`magic`] registry and a version byte.
+//!
+//! The **tagged layout** (this module) serves every structured value:
+//! VFS snapshots (`HACVFS01`), index snapshots (`HACI`), segments
+//! (`HACS`), path sidecars (`HACP`), the per-directory metadata records
+//! of the paper's §4, and HACN requests. Each value is a one-byte tag
+//! followed by its payload, so a decoder checks every value's shape
+//! before it trusts it:
 //!
 //! | value | bytes |
 //! |---|---|
@@ -20,16 +24,28 @@
 //! Structs are positional (declaration order, no names) and a decoder
 //! refuses any other arity, so a layout change fails loudly instead of
 //! shifting fields. Plain structs get their impls from [`impl_codec!`];
-//! enums are written by hand next to their definition.
+//! enums are written by hand next to their definition. The layout spends
+//! bytes freely — a file's content costs nine bytes per byte.
 //!
-//! The layout spends bytes freely — a file's content costs nine bytes per
-//! byte — and is fixed: every format above pins it byte for byte.
+//! The **[`fixed`] layout** serves the formats read field by field: the
+//! store manifest (`HACM`), the shard map (`HACF`), metric snapshots
+//! (`HACR`), span forests (`HACT`) and HACN responses. Integers sit at
+//! their natural width with no tags; the format's own code says what
+//! comes next.
+//!
+//! Both layouts are pinned byte for byte by the workspace's golden
+//! tests; a change to either is a version bump of every envelope it
+//! touches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasher, Hash};
+
+pub mod envelope;
+pub mod fixed;
+pub mod magic;
 
 /// Tag of an unsigned integer.
 pub const T_U64: u8 = 1;
@@ -73,6 +89,9 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// Error for input that ends before the value does.
+pub(crate) const END: Error = Error("unexpected end of input");
+
 /// Error for an enum variant index the decoding type does not have.
 pub const UNKNOWN_VARIANT: Error = Error("unknown variant index");
 
@@ -108,11 +127,9 @@ pub fn encode_value<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
 ///
 /// Any [`Error`] from the value's decoder, or trailing bytes after it.
 pub fn decode_value<T: Decode>(bytes: &[u8]) -> Result<T, Error> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader(fixed::Reader::new(bytes));
     let value = T::decode(&mut r)?;
-    if r.pos != bytes.len() {
-        return Err(Error("trailing bytes"));
-    }
+    r.0.finish()?;
     Ok(value)
 }
 
@@ -139,35 +156,28 @@ pub fn unit_variant(out: &mut Vec<u8>, index: u64) {
     out.push(T_UNIT);
 }
 
-/// A cursor over bytes being decoded.
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+/// A cursor over tagged bytes being decoded: the [`fixed::Reader`]
+/// underneath reads the tags and the u64 words after them.
+pub struct Reader<'a>(fixed::Reader<'a>);
 
 impl<'a> Reader<'a> {
+    /// Reads `len` raw bytes; a length past the input is [`END`].
     fn take(&mut self, len: u64) -> Result<&'a [u8], Error> {
-        let rest = &self.bytes[self.pos..];
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&n| n <= rest.len())
-            .ok_or(Error("unexpected end of input"))?;
-        self.pos += len;
-        Ok(&rest[..len])
+        self.0.take(usize::try_from(len).map_err(|_| END)?)
     }
 
     /// Reads `tag` followed by a u64 LE.
     fn tagged(&mut self, tag: u8) -> Result<u64, Error> {
         self.tag(tag)?;
-        let raw = self.take(8)?;
-        Ok(u64::from_le_bytes(raw.try_into().expect("took 8 bytes")))
+        self.0.u64()
     }
 
     /// Reads one tag byte and checks it is `tag`.
     fn tag(&mut self, tag: u8) -> Result<(), Error> {
-        match self.take(1)? {
-            [t] if *t == tag => Ok(()),
-            _ => Err(Error("unexpected tag")),
+        if self.0.u8()? == tag {
+            Ok(())
+        } else {
+            Err(Error("unexpected tag"))
         }
     }
 
@@ -340,9 +350,9 @@ impl<T: Encode> Encode for Option<T> {
 
 impl<T: Decode> Decode for Option<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        match r.take(1)? {
-            [T_NONE] => Ok(None),
-            [T_SOME] => T::decode(r).map(Some),
+        match r.0.u8()? {
+            T_NONE => Ok(None),
+            T_SOME => T::decode(r).map(Some),
             _ => Err(Error("unexpected tag")),
         }
     }

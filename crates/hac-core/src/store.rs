@@ -35,7 +35,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hac_codec::Encode;
+use hac_codec::{envelope, Decode, Encode};
 use hac_index::segment::Segment;
 use hac_index::{Granularity, Index};
 use hac_obs::sync::lock;
@@ -49,15 +49,15 @@ use crate::state::META_DIR;
 
 /// Magic prefix of a versioned full-index snapshot object (the manifest
 /// `base`, and the store-less `/.hac-meta/index` file).
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HACI";
+pub const SNAPSHOT_MAGIC: [u8; 4] = hac_codec::magic::INDEX_SNAPSHOT;
 /// Current snapshot envelope version.
 pub const SNAPSHOT_VERSION: u8 = 1;
 /// Magic prefix of an encoded segment object.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"HACS";
+pub const SEGMENT_MAGIC: [u8; 4] = hac_codec::magic::SEGMENT;
 /// Current segment envelope version.
 pub const SEGMENT_VERSION: u8 = 1;
 /// Magic prefix of a doc→path sidecar object (written at checkpoint).
-pub const PATHS_MAGIC: [u8; 4] = *b"HACP";
+pub const PATHS_MAGIC: [u8; 4] = hac_codec::magic::DOC_PATHS;
 /// Current paths-sidecar envelope version.
 pub const PATHS_VERSION: u8 = 1;
 
@@ -65,13 +65,31 @@ fn codec_err(what: &str, e: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("{what}: {e}"))
 }
 
+/// `value` in the tagged layout, inside a `magic` + `version` envelope.
+fn sealed<T: Encode + ?Sized>(magic: [u8; 4], version: u8, value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    envelope::seal(&mut out, magic, version);
+    value.encode(&mut out);
+    out
+}
+
+/// Decodes an object sealed at exactly `version`.
+fn decode_sealed<T: Decode>(
+    what: &str,
+    bytes: &[u8],
+    magic: [u8; 4],
+    version: u8,
+) -> StoreResult<T> {
+    let (v, body) = envelope::open(bytes, magic).map_err(|e| codec_err(what, e))?;
+    if v != version {
+        return Err(codec_err(what, format_args!("unsupported version {v}")));
+    }
+    hac_codec::decode_value(body).map_err(|e| codec_err(what, e))
+}
+
 /// Encode a full index snapshot with the versioned envelope.
 pub fn encode_index_snapshot(index: &Index) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.push(SNAPSHOT_VERSION);
-    index.encode(&mut out);
-    out
+    sealed(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, index)
 }
 
 /// What [`decode_index_snapshot`] found.
@@ -87,62 +105,35 @@ pub enum SnapshotDecode {
 /// Decode a snapshot written by [`encode_index_snapshot`]. Bytes without
 /// the envelope are corrupt, like any other undecodable body.
 pub fn decode_index_snapshot(bytes: &[u8]) -> StoreResult<SnapshotDecode> {
-    if bytes.len() < 5 || bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(StoreError::Corrupt("snapshot: bad magic".into()));
+    let (version, body) =
+        envelope::open(bytes, SNAPSHOT_MAGIC).map_err(|e| codec_err("snapshot", e))?;
+    if version != SNAPSHOT_VERSION {
+        return Ok(SnapshotDecode::VersionSkew(version));
     }
-    if bytes[4] != SNAPSHOT_VERSION {
-        return Ok(SnapshotDecode::VersionSkew(bytes[4]));
-    }
-    hac_codec::decode_value::<Index>(&bytes[5..])
+    hac_codec::decode_value::<Index>(body)
         .map(|i| SnapshotDecode::Current(Box::new(i)))
-        .map_err(|e| codec_err("snapshot body", e))
+        .map_err(|e| codec_err("snapshot", e))
 }
 
 /// Encode a segment with the versioned envelope.
 pub fn encode_segment(segment: &Segment) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.push(SEGMENT_VERSION);
-    segment.encode(&mut out);
-    out
+    sealed(SEGMENT_MAGIC, SEGMENT_VERSION, segment)
 }
 
 /// Decode a segment object.
 pub fn decode_segment(bytes: &[u8]) -> StoreResult<Segment> {
-    if bytes.len() < 5 || bytes[..4] != SEGMENT_MAGIC {
-        return Err(StoreError::Corrupt("segment: bad magic".into()));
-    }
-    if bytes[4] != SEGMENT_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "segment: unsupported version {}",
-            bytes[4]
-        )));
-    }
-    hac_codec::decode_value::<Segment>(&bytes[5..]).map_err(|e| codec_err("segment body", e))
+    decode_sealed("segment", bytes, SEGMENT_MAGIC, SEGMENT_VERSION)
 }
 
 /// Encode the doc→path sidecar written alongside a checkpoint base: a
 /// sequence of `(doc, path)` pairs.
 pub fn encode_doc_paths(paths: &[(u64, String)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&PATHS_MAGIC);
-    out.push(PATHS_VERSION);
-    paths.encode(&mut out);
-    out
+    sealed(PATHS_MAGIC, PATHS_VERSION, paths)
 }
 
 /// Decode a doc→path sidecar object.
 pub fn decode_doc_paths(bytes: &[u8]) -> StoreResult<Vec<(u64, String)>> {
-    if bytes.len() < 5 || bytes[..4] != PATHS_MAGIC {
-        return Err(StoreError::Corrupt("paths: bad magic".into()));
-    }
-    if bytes[4] != PATHS_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "paths: unsupported version {}",
-            bytes[4]
-        )));
-    }
-    hac_codec::decode_value(&bytes[5..]).map_err(|e| codec_err("paths body", e))
+    decode_sealed("paths", bytes, PATHS_MAGIC, PATHS_VERSION)
 }
 
 // ---------------------------------------------------------------------
@@ -769,9 +760,6 @@ mod tests {
         wrong_version[4] = 9;
         assert!(decode_segment(&wrong_version).is_err());
         assert!(decode_segment(b"HAC").is_err());
-        // The other blob peers ship each other, a metric-registry
-        // snapshot, must never pass for a segment.
-        assert_ne!(hac_obs::snapshot().encode()[..4], SEGMENT_MAGIC);
     }
 
     #[test]

@@ -298,12 +298,14 @@ impl FedRemote {
     ///
     /// # Panics
     ///
-    /// If `backends.len()` disagrees with the map's shard count.
+    /// If the map has no shards, or `backends.len()` disagrees with its
+    /// shard count.
     pub fn with_backends(
         map: ShardMap,
         backends: Vec<Arc<dyn RemoteQuerySystem>>,
         fanout_budget: Duration,
     ) -> FedRemote {
+        assert!(map.shard_count() > 0, "a federation has at least one shard");
         assert_eq!(
             backends.len(),
             map.shard_count(),
@@ -492,9 +494,6 @@ impl RemoteQuerySystem for FedRemote {
     fn search(&self, query: &ContentExpr) -> Result<Vec<RemoteDoc>, RemoteError> {
         let ns = self.ns.0.as_str();
         let total = self.shards.len();
-        if total == 0 {
-            return Ok(Vec::new());
-        }
         let started = Instant::now();
         let deadline = started + self.budget;
         let _span = hac_obs::span!("fed_scatter", ns = ns, shards = total);
@@ -949,6 +948,12 @@ mod tests {
         let fed = FedRemote::with_backends(map, backends, Duration::from_secs(5));
         // Routed to the healthy owner even though the other shard is down.
         assert_eq!(fed.fetch(doc).unwrap(), doc.as_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn a_federation_without_shards_is_refused() {
+        FedRemote::with_backends(ShardMap::new("lib", &[]), vec![], Duration::from_secs(1));
     }
 
     #[test]

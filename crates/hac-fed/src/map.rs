@@ -8,22 +8,24 @@
 //! agree without coordination — both hash the path with the same
 //! stable FNV-1a and take it mod the shard count.
 //!
-//! Like the store manifest, the map is encoded in a fixed hand-rolled
-//! binary layout (`HACF` magic + version byte): it is the *placement
-//! root* that clients fetch over the wire before anything else, so it
-//! must fail loudly — not positionally — if its shape ever evolves. The
-//! hash function is part of the same contract: changing it is a format
-//! version bump, because a map decoded by a client hashing differently
-//! would silently misroute every lookup.
+//! Like the store manifest, the map is encoded in `hac-codec`'s fixed
+//! layout inside the `HACF` envelope: it is the *placement root* that
+//! clients fetch over the wire before anything else, so it must fail
+//! loudly — not positionally — if its shape ever evolves, and a map with
+//! no shards is refused rather than routed on. The hash function is part
+//! of the same contract: changing it is a format version bump, because a
+//! map decoded by a client hashing differently would silently misroute
+//! every lookup.
 
 use std::sync::{Arc, RwLock};
 
+use hac_codec::{envelope, fixed};
 use hac_core::remote::{NamespaceId, RemoteDoc, RemoteError, RemoteQuerySystem};
 use hac_index::ContentExpr;
 use hac_store::{StoreError, StoreResult};
 
 /// Shard map wire magic.
-pub const MAP_MAGIC: [u8; 4] = *b"HACF";
+pub const MAP_MAGIC: [u8; 4] = hac_codec::magic::SHARD_MAP;
 /// Current shard map format version. Covers the binary layout *and* the
 /// placement hash ([`ShardMap::shard_of`]).
 pub const MAP_VERSION: u8 = 1;
@@ -97,18 +99,13 @@ impl ShardMap {
     /// Serialize to the versioned binary layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.shards.len() * 48);
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
-        out.extend_from_slice(&MAP_MAGIC);
-        out.push(MAP_VERSION);
+        envelope::seal(&mut out, MAP_MAGIC, MAP_VERSION);
         out.extend_from_slice(&self.generation.to_le_bytes());
-        put_str(&mut out, &self.logical);
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        fixed::put_str(&mut out, &self.logical);
+        fixed::put_len(&mut out, self.shards.len());
         for s in &self.shards {
-            put_str(&mut out, &s.ns);
-            put_str(&mut out, &s.addr);
+            fixed::put_str(&mut out, &s.ns);
+            fixed::put_str(&mut out, &s.addr);
         }
         out
     }
@@ -117,67 +114,39 @@ impl ShardMap {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Corrupt`] on any structural problem — a client must
-    /// never route on a half-read map.
+    /// [`StoreError::Corrupt`] on any structural problem, or a map with
+    /// no shards — a client must never route on a half-read map.
     pub fn decode(bytes: &[u8]) -> StoreResult<ShardMap> {
-        let mut cur = Cursor(bytes);
-        if cur.take(4, "magic")? != MAP_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = cur.take(1, "version")?[0];
+        let (version, body) = envelope::open(bytes, MAP_MAGIC).map_err(corrupt)?;
         if version != MAP_VERSION {
-            return Err(corrupt(&format!("unsupported version {version}")));
+            return Err(corrupt(format_args!("unsupported version {version}")));
         }
-        let generation = cur.u64("generation")?;
-        let logical = cur.string("logical")?;
-        let count = cur.u32("shard count")? as usize;
-        let mut shards = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let ns = cur.string("shard ns")?;
-            let addr = cur.string("shard addr")?;
-            shards.push(ShardEntry { ns, addr });
+        let map = ShardMap::read(body).map_err(corrupt)?;
+        if map.shards.is_empty() {
+            return Err(corrupt("no shards"));
         }
-        if !cur.0.is_empty() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(ShardMap {
-            generation,
-            logical,
-            shards,
-        })
+        Ok(map)
+    }
+
+    fn read(body: &[u8]) -> Result<ShardMap, hac_codec::Error> {
+        let mut r = fixed::Reader::new(body);
+        let map = ShardMap {
+            generation: r.u64()?,
+            logical: r.str()?,
+            shards: r.seq(|r| {
+                Ok(ShardEntry {
+                    ns: r.str()?,
+                    addr: r.str()?,
+                })
+            })?,
+        };
+        r.finish()?;
+        Ok(map)
     }
 }
 
-fn corrupt(m: &str) -> StoreError {
+fn corrupt(m: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("shard map: {m}"))
-}
-
-/// Strict little-endian reader over the encoded map.
-struct Cursor<'a>(&'a [u8]);
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> StoreResult<&'a [u8]> {
-        if self.0.len() < n {
-            return Err(corrupt(&format!("truncated at {what}")));
-        }
-        let (head, tail) = self.0.split_at(n);
-        self.0 = tail;
-        Ok(head)
-    }
-
-    fn u32(&mut self, what: &str) -> StoreResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self, what: &str) -> StoreResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self, what: &str) -> StoreResult<String> {
-        let len = self.u32(what)? as usize;
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| corrupt(&format!("non-utf8 {what}")))
-    }
 }
 
 /// One shard's *backend*: wraps a full-corpus backend and serves only the
@@ -309,9 +278,16 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        for m in [sample(), ShardMap::new("x", &[])] {
-            assert_eq!(ShardMap::decode(&m.encode()).unwrap(), m);
-        }
+        let m = sample();
+        assert_eq!(ShardMap::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn a_map_with_no_shards_is_refused() {
+        assert!(matches!(
+            ShardMap::decode(&ShardMap::new("x", &[]).encode()),
+            Err(StoreError::Corrupt(m)) if m.contains("no shards")
+        ));
     }
 
     #[test]
@@ -321,35 +297,6 @@ mod tests {
         assert_eq!(m.shards[0].ns, "lib.0");
         assert_eq!(m.shards[1].ns, "lib.1");
         assert_eq!(m.shards[1].addr, "b:2");
-    }
-
-    #[test]
-    fn every_truncation_is_rejected() {
-        let full = sample().encode();
-        for cut in 0..full.len() {
-            assert!(
-                ShardMap::decode(&full[..cut]).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_magic_version_and_trailing_rejected() {
-        let mut b = sample().encode();
-        b[0] = b'X';
-        assert!(ShardMap::decode(&b).is_err());
-
-        let mut b = sample().encode();
-        b[4] = 9;
-        assert!(matches!(
-            ShardMap::decode(&b),
-            Err(StoreError::Corrupt(m)) if m.contains("version 9")
-        ));
-
-        let mut b = sample().encode();
-        b.push(0);
-        assert!(ShardMap::decode(&b).is_err());
     }
 
     #[test]

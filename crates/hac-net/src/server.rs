@@ -466,16 +466,10 @@ struct Conn {
     buffered_responses: usize,
 }
 
-fn append_framed(write_buf: &mut Vec<u8>, payload: &[u8]) {
-    write_buf.extend_from_slice(&wire::FRAME_MAGIC);
-    write_buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    write_buf.extend_from_slice(payload);
-}
-
 impl Conn {
     fn append_response(&mut self, resp: &Response) {
         wire::encode_response_into(resp, &mut self.scratch);
-        append_framed(&mut self.write_buf, &self.scratch);
+        wire::append_frame(&mut self.write_buf, &self.scratch);
         self.buffered_responses += 1;
     }
 
@@ -828,7 +822,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(c.key).and_then(Option::as_mut) else {
                 continue;
             };
-            append_framed(&mut conn.write_buf, &c.payload);
+            wire::append_frame(&mut conn.write_buf, &c.payload);
             conn.buffered_responses += 1;
             conn.in_flight -= 1;
             self.total_in_flight -= 1;

@@ -17,8 +17,8 @@
 //!   requests are small, and the codec's strict struct arity rejects any
 //!   other shape;
 //! * a [`Response`] (`id`, optional `server_elapsed_us`, `body`) travels
-//!   in a fixed little-endian layout ([`encode_response_into`] /
-//!   [`decode_response`]) written and parsed with no reflection,
+//!   in `hac-codec`'s fixed little-endian layout ([`encode_response_into`]
+//!   / [`decode_response`]), written and parsed with no reflection,
 //!   because a multi-hundred-doc search result is the hot payload.
 //!
 //! Requests carry client-chosen `id`s and responses echo them, so a
@@ -34,7 +34,7 @@
 
 use std::io::{self, Read, Write};
 
-use hac_codec::{Decode, Encode, Reader};
+use hac_codec::{fixed, Decode, Encode, Reader};
 use hac_core::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 
@@ -44,7 +44,7 @@ use hac_index::ContentExpr;
 pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Magic bytes opening every frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"HACN";
+pub const FRAME_MAGIC: [u8; 4] = hac_codec::magic::FRAME;
 
 /// Default ceiling on a single frame's payload (defends against a garbled
 /// or hostile length prefix allocating gigabytes).
@@ -366,23 +366,20 @@ impl From<RemoteError> for WireError {
 /// Propagates I/O errors from the underlying writer.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&FRAME_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+    append_frame(&mut frame, payload);
     w.write_all(&frame)?;
     w.flush()
 }
 
-/// Reads one frame's payload, enforcing the magic and `max_len`.
-///
-/// # Errors
-///
-/// `InvalidData` for a bad magic or oversized length prefix;
-/// `UnexpectedEof` for a connection closed mid-frame; otherwise the
-/// underlying reader's error (including timeouts).
-pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
+/// Appends one frame (header + payload) to `out`.
+pub(crate) fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&FRAME_MAGIC);
+    fixed::put_bytes(out, payload);
+}
+
+/// Checks one frame header against the magic and `max_len`, returning
+/// the payload length it announces.
+fn frame_len(header: &[u8; 8], max_len: u32) -> io::Result<usize> {
     if header[..4] != FRAME_MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -396,7 +393,20 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> io::Result<Vec<u8>> {
             format!("frame of {len} bytes exceeds cap {max_len}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
+    Ok(len as usize)
+}
+
+/// Reads one frame's payload, enforcing the magic and `max_len`.
+///
+/// # Errors
+///
+/// `InvalidData` for a bad magic or oversized length prefix;
+/// `UnexpectedEof` for a connection closed mid-frame; otherwise the
+/// underlying reader's error (including timeouts).
+pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> io::Result<Vec<u8>> {
+    let mut header = [0u8; 8];
+    r.read_exact(&mut header)?;
+    let mut payload = vec![0u8; frame_len(&header, max_len)?];
     r.read_exact(&mut payload)?;
     Ok(payload)
 }
@@ -525,29 +535,22 @@ impl FrameDecoder {
             }
             return Ok(None);
         }
-        let header = &self.buf[self.start..self.start + 8];
-        if header[..4] != FRAME_MAGIC {
-            self.poisoned = true;
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad frame magic",
-            ));
-        }
-        let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-        if len > self.max_len {
-            self.poisoned = true;
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds cap {}", self.max_len),
-            ));
-        }
-        let total = 8 + len as usize;
-        if avail < total {
+        let header = self.buf[self.start..self.start + 8]
+            .try_into()
+            .expect("8 header bytes");
+        let len = match frame_len(header, self.max_len) {
+            Ok(len) => len,
+            Err(e) => {
+                self.poisoned = true;
+                return Err(e);
+            }
+        };
+        if avail < 8 + len {
             return Ok(None);
         }
         let payload_start = self.start + 8;
-        self.start += total;
-        Ok(Some(&self.buf[payload_start..payload_start + len as usize]))
+        self.start = payload_start + len;
+        Ok(Some(&self.buf[payload_start..self.start]))
     }
 
     /// Bytes buffered but not yet consumed by a complete frame. Nonzero
@@ -567,11 +570,10 @@ impl FrameDecoder {
 // ---------------------------------------------------------------------
 // Response codec.
 //
-// A fixed-layout little-endian encoding of `Response`, written/parsed
-// with no reflection and no intermediate allocations on encode (the
-// caller supplies the output buffer). Tag bytes pin the layout:
-// changing them is a protocol version event, same as the request struct
-// shapes above.
+// `hac-codec`'s fixed layout, written and parsed with no reflection and
+// no intermediate allocations on encode (the caller supplies the output
+// buffer). Tag bytes pin the layout: changing them is a protocol version
+// event, same as the request struct shapes above.
 
 const CT_PONG: u8 = 0;
 const CT_CAPABILITIES: u8 = 1;
@@ -587,23 +589,12 @@ const CE_UNKNOWN_NS: u8 = 4;
 const CE_BAD_REQUEST: u8 = 5;
 const CE_VERSION_MISMATCH: u8 = 6;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Encodes a response payload, appending to `out` (cleared first). Reusing one buffer across responses is the point:
 /// the hot path allocates nothing.
 pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&resp.id.to_le_bytes());
-    match resp.server_elapsed_us {
-        None => out.push(0),
-        Some(us) => {
-            out.push(1);
-            out.extend_from_slice(&us.to_le_bytes());
-        }
-    }
+    fixed::put_opt_u64(out, resp.server_elapsed_us);
     match &resp.body {
         ResponseBody::Pong { version } => {
             out.push(CT_PONG);
@@ -615,54 +606,44 @@ pub fn encode_response_into(resp: &Response, out: &mut Vec<u8>) {
         } => {
             out.push(CT_CAPABILITIES);
             out.extend_from_slice(&version.to_le_bytes());
-            out.extend_from_slice(&(namespaces.len() as u32).to_le_bytes());
+            fixed::put_len(out, namespaces.len());
             for ns in namespaces {
-                put_str(out, ns);
+                fixed::put_str(out, ns);
             }
         }
         ResponseBody::Docs(docs) => {
             out.push(CT_DOCS);
-            out.extend_from_slice(&(docs.len() as u32).to_le_bytes());
+            fixed::put_len(out, docs.len());
             for d in docs {
-                put_str(out, &d.id);
-                put_str(out, &d.title);
+                fixed::put_str(out, &d.id);
+                fixed::put_str(out, &d.title);
             }
         }
         ResponseBody::Blob(bytes) => {
             out.push(CT_BLOB);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
+            fixed::put_bytes(out, bytes);
         }
         ResponseBody::Err(err) => {
             out.push(CT_ERR);
-            match err {
-                WireError::Remote(RemoteError::Unavailable(m)) => {
-                    out.push(CE_UNAVAILABLE);
-                    put_str(out, m);
+            let (code, text) = match err {
+                WireError::Remote(RemoteError::Unavailable(m)) => (CE_UNAVAILABLE, m),
+                WireError::Remote(RemoteError::Timeout) => {
+                    out.push(CE_TIMEOUT);
+                    return;
                 }
-                WireError::Remote(RemoteError::Timeout) => out.push(CE_TIMEOUT),
-                WireError::Remote(RemoteError::NotFound(m)) => {
-                    out.push(CE_NOT_FOUND);
-                    put_str(out, m);
-                }
-                WireError::Remote(RemoteError::UnsupportedQuery(m)) => {
-                    out.push(CE_UNSUPPORTED);
-                    put_str(out, m);
-                }
-                WireError::UnknownNamespace(ns) => {
-                    out.push(CE_UNKNOWN_NS);
-                    put_str(out, ns);
-                }
-                WireError::BadRequest(m) => {
-                    out.push(CE_BAD_REQUEST);
-                    put_str(out, m);
-                }
+                WireError::Remote(RemoteError::NotFound(m)) => (CE_NOT_FOUND, m),
+                WireError::Remote(RemoteError::UnsupportedQuery(m)) => (CE_UNSUPPORTED, m),
+                WireError::UnknownNamespace(ns) => (CE_UNKNOWN_NS, ns),
+                WireError::BadRequest(m) => (CE_BAD_REQUEST, m),
                 WireError::VersionMismatch { server, client } => {
                     out.push(CE_VERSION_MISMATCH);
                     out.extend_from_slice(&server.to_le_bytes());
                     out.extend_from_slice(&client.to_le_bytes());
+                    return;
                 }
-            }
+            };
+            out.push(code);
+            fixed::put_str(out, text);
         }
     }
 }
@@ -674,112 +655,49 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
-struct ResponseReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ResponseReader<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(invalid("response"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> io::Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        let b = self.take(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| invalid("response"))
-    }
-}
-
 /// Decodes a response payload.
 ///
 /// # Errors
 ///
 /// `InvalidData` when the bytes are not a valid response (truncated,
-/// unknown tag, trailing garbage, or invalid UTF-8).
+/// unknown tag, bad flag byte, trailing garbage, or invalid UTF-8).
 pub fn decode_response(bytes: &[u8]) -> io::Result<Response> {
-    let mut r = ResponseReader { bytes, pos: 0 };
+    read_response(bytes).map_err(|_| invalid("response"))
+}
+
+fn read_response(bytes: &[u8]) -> Result<Response, hac_codec::Error> {
+    let mut r = fixed::Reader::new(bytes);
     let id = r.u64()?;
-    let server_elapsed_us = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        _ => return Err(invalid("response")),
-    };
+    let server_elapsed_us = r.opt_u64()?;
     let body = match r.u8()? {
         CT_PONG => ResponseBody::Pong { version: r.u16()? },
-        CT_CAPABILITIES => {
-            let version = r.u16()?;
-            let n = r.u32()? as usize;
-            let mut namespaces = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                namespaces.push(r.str()?);
-            }
-            ResponseBody::Capabilities {
-                version,
-                namespaces,
-            }
-        }
-        CT_DOCS => {
-            let n = r.u32()? as usize;
-            let mut docs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                let id = r.str()?;
-                let title = r.str()?;
-                docs.push(RemoteDoc { id, title });
-            }
-            ResponseBody::Docs(docs)
-        }
-        CT_BLOB => {
-            let len = r.u32()? as usize;
-            ResponseBody::Blob(r.take(len)?.to_vec())
-        }
-        CT_ERR => {
-            let err = match r.u8()? {
-                CE_UNAVAILABLE => WireError::Remote(RemoteError::Unavailable(r.str()?)),
-                CE_TIMEOUT => WireError::Remote(RemoteError::Timeout),
-                CE_NOT_FOUND => WireError::Remote(RemoteError::NotFound(r.str()?)),
-                CE_UNSUPPORTED => WireError::Remote(RemoteError::UnsupportedQuery(r.str()?)),
-                CE_UNKNOWN_NS => WireError::UnknownNamespace(r.str()?),
-                CE_BAD_REQUEST => WireError::BadRequest(r.str()?),
-                CE_VERSION_MISMATCH => WireError::VersionMismatch {
-                    server: r.u16()?,
-                    client: r.u16()?,
-                },
-                _ => return Err(invalid("response")),
-            };
-            ResponseBody::Err(err)
-        }
-        _ => return Err(invalid("response")),
+        CT_CAPABILITIES => ResponseBody::Capabilities {
+            version: r.u16()?,
+            namespaces: r.seq(fixed::Reader::str)?,
+        },
+        CT_DOCS => ResponseBody::Docs(r.seq(|r| {
+            Ok(RemoteDoc {
+                id: r.str()?,
+                title: r.str()?,
+            })
+        })?),
+        CT_BLOB => ResponseBody::Blob(r.bytes()?.to_vec()),
+        CT_ERR => ResponseBody::Err(match r.u8()? {
+            CE_UNAVAILABLE => WireError::Remote(RemoteError::Unavailable(r.str()?)),
+            CE_TIMEOUT => WireError::Remote(RemoteError::Timeout),
+            CE_NOT_FOUND => WireError::Remote(RemoteError::NotFound(r.str()?)),
+            CE_UNSUPPORTED => WireError::Remote(RemoteError::UnsupportedQuery(r.str()?)),
+            CE_UNKNOWN_NS => WireError::UnknownNamespace(r.str()?),
+            CE_BAD_REQUEST => WireError::BadRequest(r.str()?),
+            CE_VERSION_MISMATCH => WireError::VersionMismatch {
+                server: r.u16()?,
+                client: r.u16()?,
+            },
+            _ => return Err(hac_codec::UNKNOWN_VARIANT),
+        }),
+        _ => return Err(hac_codec::UNKNOWN_VARIANT),
     };
-    if r.pos != bytes.len() {
-        return Err(invalid("response"));
-    }
+    r.finish()?;
     Ok(Response {
         id,
         body,
@@ -987,82 +905,6 @@ mod tests {
         dec.push(&stream[stream.len() - 1..]);
         assert_eq!(dec.next_frame().unwrap().unwrap(), &payload[..]);
         assert_eq!(dec.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn responses_roundtrip_in_every_body_shape() {
-        let bodies = vec![
-            ResponseBody::Pong { version: 3 },
-            ResponseBody::Capabilities {
-                version: 3,
-                namespaces: vec!["a".into(), "ø-unicode".into()],
-            },
-            ResponseBody::Docs(vec![
-                RemoteDoc {
-                    id: "u1".into(),
-                    title: "Title".into(),
-                },
-                RemoteDoc {
-                    id: String::new(),
-                    title: String::new(),
-                },
-            ]),
-            ResponseBody::Docs(vec![]),
-            ResponseBody::Blob(vec![0, 255, 7]),
-            ResponseBody::Blob(vec![]),
-            ResponseBody::Err(WireError::Remote(RemoteError::Timeout)),
-            ResponseBody::Err(WireError::Remote(RemoteError::Unavailable("x".into()))),
-            ResponseBody::Err(WireError::Remote(RemoteError::NotFound("n".into()))),
-            ResponseBody::Err(WireError::Remote(RemoteError::UnsupportedQuery("q".into()))),
-            ResponseBody::Err(WireError::UnknownNamespace("zzz".into())),
-            ResponseBody::Err(WireError::BadRequest("nope".into())),
-            ResponseBody::Err(WireError::VersionMismatch {
-                server: 3,
-                client: 9,
-            }),
-        ];
-        let mut buf = Vec::new();
-        for body in bodies {
-            for elapsed in [None, Some(417u64)] {
-                let resp = Response {
-                    id: u64::MAX,
-                    body: body.clone(),
-                    server_elapsed_us: elapsed,
-                };
-                encode_response_into(&resp, &mut buf);
-                assert_eq!(decode_response(&buf).unwrap(), resp);
-            }
-        }
-    }
-
-    #[test]
-    fn response_codec_rejects_garbage() {
-        assert!(decode_response(&[]).is_err());
-        let good = encode_response(&Response::new(
-            7,
-            ResponseBody::Docs(vec![RemoteDoc {
-                id: "a".into(),
-                title: "b".into(),
-            }]),
-        ));
-        for cut in 0..good.len() {
-            assert!(
-                decode_response(&good[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(
-            decode_response(&trailing).is_err(),
-            "trailing garbage must fail"
-        );
-        for i in 0..good.len() {
-            let mut garbled = good.clone();
-            garbled[i] ^= 0xFF;
-            // Any outcome but a panic is fine.
-            let _ = decode_response(&garbled);
-        }
     }
 
     #[test]

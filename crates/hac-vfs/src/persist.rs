@@ -10,7 +10,7 @@ use crate::fs::Vfs;
 use crate::node::NodeTable;
 
 /// Magic bytes identifying a VFS snapshot.
-const MAGIC: &[u8; 8] = b"HACVFS01";
+const MAGIC: [u8; 8] = hac_codec::magic::VFS_SNAPSHOT;
 
 struct Snapshot {
     clock: u64,
@@ -31,7 +31,7 @@ pub fn snapshot(vfs: &Vfs) -> VfsResult<Vec<u8>> {
         nodes: vfs.clone_nodes(),
     };
     let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&MAGIC);
     hac_codec::Encode::encode(&snap, &mut out);
     Ok(out)
 }
@@ -44,11 +44,11 @@ pub fn snapshot(vfs: &Vfs) -> VfsResult<Vec<u8>> {
 /// Returns [`VfsError::Unsupported`] when the bytes are not a valid
 /// snapshot.
 pub fn restore(vfs: &Vfs, bytes: &[u8]) -> VfsResult<()> {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(VfsError::Unsupported("snapshot magic mismatch"));
-    }
-    let snap: Snapshot = hac_codec::decode_value(&bytes[MAGIC.len()..])
-        .map_err(|_| VfsError::Unsupported("snapshot decode"))?;
+    let body = bytes
+        .strip_prefix(&MAGIC)
+        .ok_or(VfsError::Unsupported("snapshot magic mismatch"))?;
+    let snap: Snapshot =
+        hac_codec::decode_value(body).map_err(|_| VfsError::Unsupported("snapshot decode"))?;
     vfs.replace_nodes(snap.nodes, snap.clock);
     Ok(())
 }
