@@ -1,17 +1,30 @@
-//! The fixed little-endian layout.
+//! The primitives of HAC's one layout, and the one cursor over them.
 //!
-//! HACM, HACF, HACR, HACT and HACN responses carry no tags: the format's
-//! own code says what comes next, so these are the only shapes there are.
+//! No byte names a type: the format's own code says what comes next.
+//! HACM, HACF, HACR, HACT and HACN responses call these directly and keep
+//! their integers at natural width; the [`Encode`](crate::Encode) layer
+//! builds every other format from the varint and the flag byte.
 //!
 //! | shape | bytes |
 //! |---|---|
 //! | `u8` … `u64`, `i128` | the integer LE, at its natural width |
+//! | varint | LEB128: seven bits a byte, low group first, the high bit set on all but the last ([`put_varint`] / [`Reader::varint`]) |
 //! | 32-byte hash | the bytes ([`Reader::array`]) |
 //! | count | u32 LE ([`put_len`] / [`Reader::len`]) |
 //! | string, byte run | u32 LE length, then the bytes (a string's UTF-8) |
 //! | `Option<u64>` | flag byte `0`, or flag byte `1` and the u64 LE |
 
 use crate::{Error, END, MAX_PREALLOC};
+
+/// Writes `v` as a LEB128 varint: one byte below 128, ten at most.
+#[inline]
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
 
 /// Writes a u32 count or length.
 ///
@@ -49,10 +62,10 @@ pub fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-/// A strict reader over fixed-layout bytes. Every read fails with an
-/// [`Error`] when the input ends first, so does a flag byte other than 0
-/// or 1 and a string that is not UTF-8; [`Reader::finish`] refuses
-/// leftovers.
+/// A strict reader over HAC bytes. Every read fails with an [`Error`]
+/// when the input ends first, so does a flag byte other than 0 or 1, a
+/// string that is not UTF-8 and a varint with more than one encoding;
+/// [`Reader::finish`] refuses leftovers.
 pub struct Reader<'a> {
     rest: &'a [u8],
 }
@@ -72,6 +85,12 @@ impl<'a> Reader<'a> {
         let (head, rest) = self.rest.split_at(n);
         self.rest = rest;
         Ok(head)
+    }
+
+    /// Bytes not yet read.
+    #[inline]
+    pub(crate) fn remaining(&self) -> usize {
+        self.rest.len()
     }
 
     /// Reads `N` raw bytes.
@@ -102,6 +121,29 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn u64(&mut self) -> Result<u64, Error> {
         self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a LEB128 varint, refusing one past 64 bits and one with a
+    /// redundant high zero group, so each value has exactly one encoding.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, Error> {
+        let mut value = 0;
+        let mut shift = 0;
+        loop {
+            let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(Error("varint overflows 64 bits"));
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return if byte == 0 && shift > 0 {
+                    Err(Error("non-minimal varint"))
+                } else {
+                    Ok(value)
+                };
+            }
+            shift += 7;
+        }
     }
 
     /// Reads an `i128` LE.
@@ -160,7 +202,7 @@ impl<'a> Reader<'a> {
         mut item: impl FnMut(&mut Self) -> Result<T, Error>,
     ) -> Result<Vec<T>, Error> {
         let n = self.len()?;
-        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC as usize));
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
         for _ in 0..n {
             out.push(item(self)?);
         }

@@ -1,81 +1,56 @@
-//! # hac-codec — HAC's byte layouts
+//! # hac-codec — HAC's byte layout
 //!
-//! Every byte HAC persists or sends goes through this crate, in one of
-//! two layouts, and every versioned object opens with one [`envelope`]:
-//! a magic from the [`magic`] registry and a version byte.
+//! Every byte HAC persists or sends goes through this crate, in one
+//! untagged layout read by one [`Reader`], and every versioned object
+//! opens with one [`envelope`]: a magic from the [`magic`] registry and a
+//! version byte.
 //!
-//! The **tagged layout** (this module) serves every structured value:
-//! VFS snapshots (`HACVFS01`), index snapshots (`HACI`), segments
-//! (`HACS`), path sidecars (`HACP`), the per-directory metadata records
-//! of the paper's §4, and HACN requests. Each value is a one-byte tag
-//! followed by its payload, so a decoder checks every value's shape
-//! before it trusts it:
+//! The [`fixed`] module holds the primitives and the cursor. Formats read
+//! field by field — the store manifest (`HACM`), the shard map (`HACF`),
+//! metric snapshots (`HACR`), span forests (`HACT`) and HACN responses —
+//! call them directly. The structured ones — VFS snapshots (`HACV`), index
+//! snapshots (`HACI`), segments (`HACS`), path sidecars (`HACP`), the
+//! per-directory metadata records of the paper's §4 and HACN requests —
+//! go through the thin positional [`Encode`]/[`Decode`] layer here:
 //!
 //! | value | bytes |
 //! |---|---|
-//! | `u8` … `u64` | [`T_U64`], u64 LE |
-//! | `String` | [`T_STR`], length u64 LE, UTF-8 |
-//! | `Vec`, tuple, struct | [`T_SEQ`], length u64 LE, each element in order |
-//! | `BTreeMap`, `HashMap` | [`T_MAP`], length u64 LE, key, value, … |
-//! | `Option` | [`T_NONE`], or [`T_SOME`] and the value |
-//! | enum variant | [`T_VARIANT`], index u64 LE, then [`T_UNIT`], the one field, or a [`T_SEQ`] of the fields |
-//! | newtype struct | the inner value, untagged |
+//! | `u8` | the byte |
+//! | `u16`, `u32`, `u64` | a LEB128 varint ([`fixed::put_varint`]) |
+//! | `String` | varint length, UTF-8 |
+//! | `Vec`, slice | varint count, each element in order |
+//! | `BTreeMap` | varint count, key, value, … in ascending key order |
+//! | `Option` | flag byte `0`, or flag byte `1` and the value |
+//! | enum variant | varint index, then its fields in order |
+//! | struct, tuple | its fields in declaration order, no header |
+//! | newtype struct | the inner value |
 //!
-//! Structs are positional (declaration order, no names) and a decoder
-//! refuses any other arity, so a layout change fails loudly instead of
-//! shifting fields. Plain structs get their impls from [`impl_codec!`];
-//! enums are written by hand next to their definition. The layout spends
-//! bytes freely — a file's content costs nine bytes per byte.
+//! Nothing in the bytes names a type, so a layout change is caught by
+//! the envelope's version, not in-band. Each value still has exactly one
+//! encoding: the decoder refuses a varint that is not minimal or does not
+//! fit in 64 bits, an integer too wide for its field, a flag byte other
+//! than 0 or 1, a map key out of order, and trailing bytes. Plain structs
+//! get their impls from [`impl_codec!`]; enums are written by hand next
+//! to their definition.
 //!
-//! The **[`fixed`] layout** serves the formats read field by field: the
-//! store manifest (`HACM`), the shard map (`HACF`), metric snapshots
-//! (`HACR`), span forests (`HACT`) and HACN responses. Integers sit at
-//! their natural width with no tags; the format's own code says what
-//! comes next.
-//!
-//! Both layouts are pinned byte for byte by the workspace's golden
-//! tests; a change to either is a version bump of every envelope it
-//! touches.
+//! Every format is pinned byte for byte by the workspace's golden tests;
+//! a layout change is a version bump of every envelope it touches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasher, Hash};
+use std::collections::BTreeMap;
 
 pub mod envelope;
 pub mod fixed;
 pub mod magic;
 
-/// Tag of an unsigned integer.
-pub const T_U64: u8 = 1;
-/// Tag of a UTF-8 string.
-pub const T_STR: u8 = 2;
-/// Tag of a sequence, tuple or struct.
-pub const T_SEQ: u8 = 3;
-/// Tag of a map.
-pub const T_MAP: u8 = 4;
-/// Tag of `None`.
-pub const T_NONE: u8 = 5;
-/// Tag of `Some`, followed by the value.
-pub const T_SOME: u8 = 6;
-/// Tag of a unit enum variant's (empty) payload.
-pub const T_UNIT: u8 = 7;
-/// Tag of an enum variant, followed by its index and payload.
-pub const T_VARIANT: u8 = 8;
-/// Reserved: boolean (no current format writes it).
-pub const T_BOOL: u8 = 9;
-/// Reserved: signed integer (no current format writes it).
-pub const T_I64: u8 = 10;
-/// Reserved: float (no current format writes it).
-pub const T_F64: u8 = 11;
-/// Reserved: opaque bytes (no current format writes it).
-pub const T_BYTES: u8 = 12;
+pub use fixed::{put_varint, Reader};
 
-/// Largest capacity a decoder reserves up front from a length it read:
-/// the length is untrusted, so bigger collections grow as elements
+/// Largest capacity a decoder reserves up front from a count it read:
+/// the count is untrusted, so bigger collections grow as elements
 /// actually decode.
-const MAX_PREALLOC: u64 = 4096;
+const MAX_PREALLOC: usize = 4096;
 
 /// Why bytes failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +73,9 @@ pub const UNKNOWN_VARIANT: Error = Error("unknown variant index");
 /// Error for a recursive value nested deeper than its type allows.
 pub const TOO_DEEP: Error = Error("nesting too deep");
 
+/// Error for a key that appears twice in a collection of unique keys.
+pub const DUPLICATE_KEY: Error = Error("duplicate key");
+
 /// A value with a byte layout.
 pub trait Encode {
     /// Appends this value's bytes to `out`.
@@ -106,7 +84,7 @@ pub trait Encode {
 
 /// A value that can be read back from its byte layout.
 pub trait Decode: Sized {
-    /// Reads one value, checking every tag, length and arity on the way.
+    /// Reads one value, checking every length, range and flag on the way.
     ///
     /// # Errors
     ///
@@ -127,96 +105,23 @@ pub fn encode_value<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
 ///
 /// Any [`Error`] from the value's decoder, or trailing bytes after it.
 pub fn decode_value<T: Decode>(bytes: &[u8]) -> Result<T, Error> {
-    let mut r = Reader(fixed::Reader::new(bytes));
+    let mut r = Reader::new(bytes);
     let value = T::decode(&mut r)?;
-    r.0.finish()?;
+    r.finish()?;
     Ok(value)
 }
 
-/// Writes `tag` followed by `v` as u64 LE.
-fn put_tagged(out: &mut Vec<u8>, tag: u8, v: u64) {
-    out.push(tag);
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Writes the header of a struct (or struct/tuple variant payload) with
-/// `arity` fields; the fields follow in order.
-pub fn struct_header(out: &mut Vec<u8>, arity: u64) {
-    put_tagged(out, T_SEQ, arity);
-}
-
-/// Writes the header of enum variant `index`; its payload follows.
-pub fn variant(out: &mut Vec<u8>, index: u64) {
-    put_tagged(out, T_VARIANT, index);
-}
-
-/// Writes a unit enum variant.
-pub fn unit_variant(out: &mut Vec<u8>, index: u64) {
-    variant(out, index);
-    out.push(T_UNIT);
-}
-
-/// A cursor over tagged bytes being decoded: the [`fixed::Reader`]
-/// underneath reads the tags and the u64 words after them.
-pub struct Reader<'a>(fixed::Reader<'a>);
-
-impl<'a> Reader<'a> {
-    /// Reads `len` raw bytes; a length past the input is [`END`].
-    fn take(&mut self, len: u64) -> Result<&'a [u8], Error> {
-        self.0.take(usize::try_from(len).map_err(|_| END)?)
-    }
-
-    /// Reads `tag` followed by a u64 LE.
-    fn tagged(&mut self, tag: u8) -> Result<u64, Error> {
-        self.tag(tag)?;
-        self.0.u64()
-    }
-
-    /// Reads one tag byte and checks it is `tag`.
-    fn tag(&mut self, tag: u8) -> Result<(), Error> {
-        if self.0.u8()? == tag {
-            Ok(())
-        } else {
-            Err(Error("unexpected tag"))
-        }
-    }
-
-    /// Reads a struct header and checks it announces exactly `arity`
-    /// fields.
-    ///
-    /// # Errors
-    ///
-    /// Any other tag or arity, or the input ends first.
-    pub fn struct_of(&mut self, arity: u64) -> Result<(), Error> {
-        if self.tagged(T_SEQ)? != arity {
-            return Err(Error("struct arity mismatch"));
-        }
-        Ok(())
-    }
-
-    /// Reads an enum variant header, returning the variant index.
-    ///
-    /// # Errors
-    ///
-    /// Any other tag, or the input ends first.
-    pub fn variant(&mut self) -> Result<u64, Error> {
-        self.tagged(T_VARIANT)
-    }
-
-    /// Reads the payload of a unit variant.
-    ///
-    /// # Errors
-    ///
-    /// Any other tag, or the input ends first.
-    pub fn unit(&mut self) -> Result<(), Error> {
-        self.tag(T_UNIT)
-    }
+/// Writes enum variant `index`, then its fields: one value, or a tuple
+/// of several. A unit variant is [`put_varint`] of its index alone.
+pub fn variant<T: Encode + ?Sized>(out: &mut Vec<u8>, index: u64, fields: &T) {
+    put_varint(out, index);
+    fields.encode(out);
 }
 
 /// Implements [`Encode`] and [`Decode`] for a plain struct.
 ///
-/// * `impl_codec!(Name { a, b, c })` — a named struct, written as a
-///   [`T_SEQ`] of its fields in the listed order (the declaration order);
+/// * `impl_codec!(Name { a, b, c })` — a named struct, written as its
+///   fields in the listed order (the declaration order);
 /// * `impl_codec!(Name(Inner))` — a newtype struct, written as `Inner`.
 ///
 /// A field missing from the list fails to compile in the decoder.
@@ -237,13 +142,11 @@ macro_rules! impl_codec {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::Encode for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                $crate::struct_header(out, [$(stringify!($field)),+].len() as u64);
                 $($crate::Encode::encode(&self.$field, out);)+
             }
         }
         impl $crate::Decode for $ty {
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::Error> {
-                r.struct_of([$(stringify!($field)),+].len() as u64)?;
                 Ok($ty {
                     $($field: $crate::Decode::decode(r)?,)+
                 })
@@ -252,26 +155,48 @@ macro_rules! impl_codec {
     };
 }
 
-macro_rules! unsigned {
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.u8()
+    }
+}
+
+macro_rules! varint {
     ($($ty:ty),+) => {$(
         impl Encode for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                put_tagged(out, T_U64, u64::from(*self));
+                put_varint(out, u64::from(*self));
             }
         }
         impl Decode for $ty {
             fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-                <$ty>::try_from(r.tagged(T_U64)?).map_err(|_| Error("integer out of range"))
+                <$ty>::try_from(r.varint()?).map_err(|_| Error("integer out of range"))
             }
         }
     )+};
 }
 
-unsigned!(u8, u16, u32, u64);
+varint!(u16, u32, u64);
+
+/// Reads a varint count of items that each take at least one byte, so a
+/// count past the bytes left is refused before anything is reserved.
+fn count(r: &mut Reader<'_>) -> Result<usize, Error> {
+    let n = usize::try_from(r.varint()?).map_err(|_| END)?;
+    if n > r.remaining() {
+        return Err(END);
+    }
+    Ok(n)
+}
 
 impl Encode for str {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_tagged(out, T_STR, self.len() as u64);
+        put_varint(out, self.len() as u64);
         out.extend_from_slice(self.as_bytes());
     }
 }
@@ -284,9 +209,8 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let len = r.tagged(T_STR)?;
-        let bytes = r.take(len)?;
-        std::str::from_utf8(bytes)
+        let n = count(r)?;
+        std::str::from_utf8(r.take(n)?)
             .map(str::to_owned)
             .map_err(|_| Error("invalid UTF-8"))
     }
@@ -304,15 +228,9 @@ impl<T: Encode + ?Sized> Encode for Box<T> {
     }
 }
 
-impl<T: Decode> Decode for Box<T> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        T::decode(r).map(Box::new)
-    }
-}
-
 impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
-        put_tagged(out, T_SEQ, self.len() as u64);
+        put_varint(out, self.len() as u64);
         for item in self {
             item.encode(out);
         }
@@ -327,9 +245,9 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let len = r.tagged(T_SEQ)?;
-        let mut out = Vec::with_capacity(len.min(MAX_PREALLOC) as usize);
-        for _ in 0..len {
+        let n = count(r)?;
+        let mut out = Vec::with_capacity(n.min(MAX_PREALLOC));
+        for _ in 0..n {
             out.push(T::decode(r)?);
         }
         Ok(out)
@@ -340,67 +258,43 @@ impl<T: Encode> Encode for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Some(v) => {
-                out.push(T_SOME);
+                out.push(1);
                 v.encode(out);
             }
-            None => out.push(T_NONE),
+            None => out.push(0),
         }
     }
 }
 
 impl<T: Decode> Decode for Option<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        match r.0.u8()? {
-            T_NONE => Ok(None),
-            T_SOME => T::decode(r).map(Some),
-            _ => Err(Error("unexpected tag")),
+        if r.flag()? {
+            T::decode(r).map(Some)
+        } else {
+            Ok(None)
         }
-    }
-}
-
-fn encode_map<'a, K: Encode + 'a, V: Encode + 'a>(
-    out: &mut Vec<u8>,
-    len: usize,
-    entries: impl Iterator<Item = (&'a K, &'a V)>,
-) {
-    put_tagged(out, T_MAP, len as u64);
-    for (k, v) in entries {
-        k.encode(out);
-        v.encode(out);
     }
 }
 
 impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_map(out, self.len(), self.iter());
+        put_varint(out, self.len() as u64);
+        for (k, v) in self {
+            k.encode(out);
+            v.encode(out);
+        }
     }
 }
 
 impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let len = r.tagged(T_MAP)?;
+        let n = count(r)?;
         let mut out = BTreeMap::new();
-        for _ in 0..len {
+        for _ in 0..n {
             let k = K::decode(r)?;
-            out.insert(k, V::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<K: Encode, V: Encode, S> Encode for HashMap<K, V, S> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_map(out, self.len(), self.iter());
-    }
-}
-
-impl<K: Decode + Hash + Eq, V: Decode, S: BuildHasher + Default> Decode for HashMap<K, V, S> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let len = r.tagged(T_MAP)?;
-        let mut out =
-            HashMap::with_capacity_and_hasher(len.min(MAX_PREALLOC) as usize, S::default());
-        for _ in 0..len {
-            let k = K::decode(r)?;
+            if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(Error("map keys out of order"));
+            }
             out.insert(k, V::decode(r)?);
         }
         Ok(out)
@@ -408,24 +302,22 @@ impl<K: Decode + Hash + Eq, V: Decode, S: BuildHasher + Default> Decode for Hash
 }
 
 macro_rules! tuple {
-    ($len:expr; $($name:ident . $idx:tt),+) => {
+    ($($name:ident . $idx:tt),+) => {
         impl<$($name: Encode),+> Encode for ($($name,)+) {
             fn encode(&self, out: &mut Vec<u8>) {
-                struct_header(out, $len);
                 $(self.$idx.encode(out);)+
             }
         }
         impl<$($name: Decode),+> Decode for ($($name,)+) {
             fn decode(r: &mut Reader<'_>) -> Result<Self, Error> {
-                r.struct_of($len)?;
                 Ok(($($name::decode(r)?,)+))
             }
         }
     };
 }
 
-tuple!(2; A.0, B.1);
-tuple!(3; A.0, B.1, C.2);
+tuple!(A.0, B.1);
+tuple!(A.0, B.1, C.2);
 
 #[cfg(test)]
 mod tests {
@@ -446,75 +338,109 @@ mod tests {
     fn demo() -> Demo {
         Demo {
             name: "x".into(),
-            vals: vec![1, 2, 3],
+            vals: vec![1, 300],
             opt: Some(2),
         }
     }
 
     #[test]
-    fn structs_roundtrip_as_positional_sequences() {
+    fn structs_are_their_fields_in_order() {
         let bytes = encode_value(&demo());
-        assert_eq!(&bytes[..9], &[T_SEQ, 3, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(bytes, [1, b'x', 2, 1, 0xac, 0x02, 1, 2]);
         assert_eq!(decode_value::<Demo>(&bytes).unwrap(), demo());
-        // A newtype is its inner value, untagged.
+        // A newtype is its inner value.
         assert_eq!(encode_value(&Id(7)), encode_value(&7u64));
         assert_eq!(decode_value::<Id>(&encode_value(&7u64)).unwrap(), Id(7));
+        // A byte vector is its count and the raw bytes.
+        assert_eq!(encode_value(&vec![0u8, 255]), [2, 0, 255]);
     }
 
     #[test]
-    fn maps_and_tuples_roundtrip() {
-        let map: BTreeMap<String, (u8, String)> = [("k".to_string(), (1u8, "v".to_string()))]
-            .into_iter()
-            .collect();
-        assert_eq!(
-            decode_value::<BTreeMap<_, _>>(&encode_value(&map)).unwrap(),
-            map
-        );
-        let hashed: HashMap<String, u16> = [("a".to_string(), 9u16)].into_iter().collect();
-        assert_eq!(
-            decode_value::<HashMap<_, _>>(&encode_value(&hashed)).unwrap(),
-            hashed
-        );
-        let none: Option<Box<u64>> = None;
-        assert_eq!(encode_value(&none), vec![T_NONE]);
-    }
-
-    #[test]
-    fn arity_tags_and_ranges_are_checked() {
-        // A two-field tuple is not a three-field struct.
-        let pair = encode_value(&("x".to_string(), vec![1u32]));
-        assert_eq!(
-            decode_value::<Demo>(&pair),
-            Err(Error("struct arity mismatch"))
-        );
-        // A string is not an integer.
-        assert_eq!(
-            decode_value::<u64>(&encode_value("1")),
-            Err(Error("unexpected tag"))
-        );
+    fn varints_have_exactly_one_encoding() {
+        let cases: [(u64, &[u8]); 5] = [
+            (0, &[0]),
+            (127, &[0x7f]),
+            (128, &[0x80, 0x01]),
+            (1 << 32, &[0x80, 0x80, 0x80, 0x80, 0x10]),
+            (
+                u64::MAX,
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            ),
+        ];
+        for (v, bytes) in cases {
+            assert_eq!(encode_value(&v), bytes, "{v}");
+            assert_eq!(decode_value::<u64>(bytes), Ok(v), "{v}");
+        }
         // Narrowing refuses values that do not fit.
+        let wide = encode_value(&(u64::from(u32::MAX) + 1));
         assert_eq!(
-            decode_value::<u8>(&encode_value(&256u64)),
+            decode_value::<u32>(&wide),
             Err(Error("integer out of range"))
         );
+        assert_eq!(decode_value::<u32>(&encode_value(&u32::MAX)), Ok(u32::MAX));
         assert_eq!(
-            decode_value::<u16>(&encode_value(&65_535u64)).unwrap(),
-            u16::MAX
+            decode_value::<u16>(&encode_value(&65_536u64)),
+            Err(Error("integer out of range"))
         );
-        // Trailing bytes are refused.
+        // Past 64 bits, in the tenth byte or with an eleventh.
+        let overflow = Error("varint overflows 64 bits");
+        let mut tenth = [0xff; 10];
+        tenth[9] = 0x02;
+        assert_eq!(decode_value::<u64>(&tenth), Err(overflow));
+        let mut eleventh = [0x80; 11];
+        eleventh[10] = 0x01;
+        assert_eq!(decode_value::<u64>(&eleventh), Err(overflow));
+        // A redundant high zero group.
+        let non_minimal = Error("non-minimal varint");
+        assert_eq!(decode_value::<u64>(&[0x80, 0x00]), Err(non_minimal));
+        assert_eq!(decode_value::<u64>(&[0xff, 0x80, 0x00]), Err(non_minimal));
+        // Unterminated.
+        assert_eq!(decode_value::<u64>(&[0x80]), Err(END));
+    }
+
+    #[test]
+    fn maps_options_and_tuples_roundtrip() {
+        let map: BTreeMap<String, (u8, String)> = [
+            ("j".to_string(), (1u8, "v".to_string())),
+            ("k".to_string(), (2u8, "w".to_string())),
+        ]
+        .into_iter()
+        .collect();
+        let bytes = encode_value(&map);
+        assert_eq!(decode_value::<BTreeMap<_, _>>(&bytes).unwrap(), map);
+        // The same entries, repeated or out of order, are refused.
+        let first = encode_value(&("j", (1u8, "v")));
+        let second = encode_value(&("k", (2u8, "w")));
+        for entries in [[&first, &first], [&second, &first]] {
+            let bad = [&[2u8][..], entries[0], entries[1]].concat();
+            assert_eq!(
+                decode_value::<BTreeMap<String, (u8, String)>>(&bad),
+                Err(Error("map keys out of order"))
+            );
+        }
+        let none: Option<Box<u64>> = None;
+        assert_eq!(encode_value(&none), [0]);
+        assert_eq!(
+            decode_value::<Option<u64>>(&[2]),
+            Err(Error("bad flag byte"))
+        );
+    }
+
+    #[test]
+    fn hostile_bytes_are_refused() {
+        // Bad UTF-8, and trailing bytes.
+        assert_eq!(
+            decode_value::<String>(&[1, 0xff]),
+            Err(Error("invalid UTF-8"))
+        );
         let mut extra = encode_value(&demo());
         extra.push(0);
         assert_eq!(decode_value::<Demo>(&extra), Err(Error("trailing bytes")));
-    }
-
-    #[test]
-    fn hostile_lengths_fail_without_allocating_them() {
-        for tag in [T_STR, T_SEQ, T_MAP] {
-            let mut bytes = Vec::new();
-            put_tagged(&mut bytes, tag, u64::MAX);
-            assert!(decode_value::<String>(&bytes).is_err());
-            assert!(decode_value::<Vec<u64>>(&bytes).is_err());
-            assert!(decode_value::<HashMap<String, u64>>(&bytes).is_err());
-        }
+        // A count past the input fails without reserving it.
+        let huge = encode_value(&u64::MAX);
+        assert_eq!(decode_value::<String>(&huge), Err(END));
+        assert_eq!(decode_value::<Vec<u64>>(&huge), Err(END));
+        assert_eq!(decode_value::<BTreeMap<u8, u8>>(&huge), Err(END));
+        assert_eq!(decode_value::<Vec<u8>>(&[3, 1, 2]), Err(END));
     }
 }

@@ -1,7 +1,7 @@
 //! The one definition of every magic HAC writes. Each format's public
 //! name for its magic (`SNAPSHOT_MAGIC`, `MANIFEST_MAGIC`, …) is an alias
-//! of a constant here, and a test refuses two formats sharing a 4-byte
-//! prefix: a blob of one must never pass for the other.
+//! of a constant here, and a test refuses two formats sharing a magic: a
+//! blob of one must never pass for the other.
 
 /// Full index snapshot (`hac-core`).
 pub const INDEX_SNAPSHOT: [u8; 4] = *b"HACI";
@@ -19,32 +19,32 @@ pub const METRICS: [u8; 4] = *b"HACR";
 pub const SPANS: [u8; 4] = *b"HACT";
 /// HACN frame header (`hac-net`).
 pub const FRAME: [u8; 4] = *b"HACN";
-/// VFS snapshot (`hac-vfs`); unversioned, so it carries no envelope.
-pub const VFS_SNAPSHOT: [u8; 8] = *b"HACVFS01";
+/// VFS snapshot (`hac-vfs`).
+pub const VFS_SNAPSHOT: [u8; 4] = *b"HACV";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Every magic above, by name.
-    const ALL: [(&str, &[u8]); 9] = [
-        ("INDEX_SNAPSHOT", &INDEX_SNAPSHOT),
-        ("SEGMENT", &SEGMENT),
-        ("DOC_PATHS", &DOC_PATHS),
-        ("MANIFEST", &MANIFEST),
-        ("SHARD_MAP", &SHARD_MAP),
-        ("METRICS", &METRICS),
-        ("SPANS", &SPANS),
-        ("FRAME", &FRAME),
-        ("VFS_SNAPSHOT", &VFS_SNAPSHOT),
+    const ALL: [(&str, [u8; 4]); 9] = [
+        ("INDEX_SNAPSHOT", INDEX_SNAPSHOT),
+        ("SEGMENT", SEGMENT),
+        ("DOC_PATHS", DOC_PATHS),
+        ("MANIFEST", MANIFEST),
+        ("SHARD_MAP", SHARD_MAP),
+        ("METRICS", METRICS),
+        ("SPANS", SPANS),
+        ("FRAME", FRAME),
+        ("VFS_SNAPSHOT", VFS_SNAPSHOT),
     ];
 
     #[test]
     fn no_two_magics_share_a_prefix() {
         for (i, (a, a_bytes)) in ALL.iter().enumerate() {
-            assert!(a_bytes.len() >= 4 && a_bytes.starts_with(b"HAC"), "{a}");
+            assert!(a_bytes.starts_with(b"HAC"), "{a}");
             for (b, b_bytes) in &ALL[i + 1..] {
-                assert_ne!(a_bytes[..4], b_bytes[..4], "{a} and {b} share a prefix");
+                assert_ne!(a_bytes, b_bytes, "{a} and {b} share a magic");
             }
         }
     }

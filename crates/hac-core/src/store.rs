@@ -51,21 +51,21 @@ use crate::state::META_DIR;
 /// `base`, and the store-less `/.hac-meta/index` file).
 pub const SNAPSHOT_MAGIC: [u8; 4] = hac_codec::magic::INDEX_SNAPSHOT;
 /// Current snapshot envelope version.
-pub const SNAPSHOT_VERSION: u8 = 1;
+pub const SNAPSHOT_VERSION: u8 = 2;
 /// Magic prefix of an encoded segment object.
 pub const SEGMENT_MAGIC: [u8; 4] = hac_codec::magic::SEGMENT;
 /// Current segment envelope version.
-pub const SEGMENT_VERSION: u8 = 1;
+pub const SEGMENT_VERSION: u8 = 2;
 /// Magic prefix of a doc→path sidecar object (written at checkpoint).
 pub const PATHS_MAGIC: [u8; 4] = hac_codec::magic::DOC_PATHS;
 /// Current paths-sidecar envelope version.
-pub const PATHS_VERSION: u8 = 1;
+pub const PATHS_VERSION: u8 = 2;
 
 fn codec_err(what: &str, e: impl std::fmt::Display) -> StoreError {
     StoreError::Corrupt(format!("{what}: {e}"))
 }
 
-/// `value` in the tagged layout, inside a `magic` + `version` envelope.
+/// `value` in the `hac_codec` layout, inside a `magic` + `version` envelope.
 fn sealed<T: Encode + ?Sized>(magic: [u8; 4], version: u8, value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     envelope::seal(&mut out, magic, version);

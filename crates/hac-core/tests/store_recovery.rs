@@ -318,19 +318,22 @@ fn legacy_snapshots_load_only_with_the_envelope_and_future_versions_degrade() {
     assert!(!headerless.load_index().unwrap());
     assert!(failures() > failures_before);
 
-    // A future version is refused gracefully (counted skew, cold rebuild).
-    let skew_before = hac_obs::snapshot()
-        .counter_value("hac_index_snapshot_version_skew_total", &[])
-        .unwrap_or(0);
-    let future = restore(&|raw| raw[4] = SNAPSHOT_VERSION + 1);
-    assert!(!future.load_index().unwrap());
-    let skew_after = hac_obs::snapshot()
-        .counter_value("hac_index_snapshot_version_skew_total", &[])
-        .unwrap_or(0);
-    assert_eq!(skew_after, skew_before + 1);
-    future.ssync(&p("/")).unwrap();
-    let rebuilt = capture(&future);
-    assert_eq!((&rebuilt.hits, rebuilt.docs), (&state1.hits, state1.docs));
+    // The tagged layout's version 1 and a future version are refused
+    // gracefully (counted skew, cold rebuild).
+    let skews = || {
+        hac_obs::snapshot()
+            .counter_value("hac_index_snapshot_version_skew_total", &[])
+            .unwrap_or(0)
+    };
+    for version in [1, SNAPSHOT_VERSION + 1] {
+        let skew_before = skews();
+        let skewed = restore(&|raw| raw[4] = version);
+        assert!(!skewed.load_index().unwrap(), "version {version}");
+        assert_eq!(skews(), skew_before + 1, "version {version}");
+        skewed.ssync(&p("/")).unwrap();
+        let rebuilt = capture(&skewed);
+        assert_eq!((&rebuilt.hits, rebuilt.docs), (&state1.hits, state1.docs));
+    }
 
     // Garbage is refused too (counted decode failure).
     let garbage = restore(&|raw| {

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use hac_codec::{Decode, Encode, Reader};
+use hac_codec::{put_varint, variant, Decode, Encode, Reader};
 
 use crate::approx;
 use crate::bitmap::{Bitmap, DocId};
@@ -47,29 +47,19 @@ impl Default for Granularity {
 impl Encode for Granularity {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Granularity::Exact => hac_codec::unit_variant(out, 0),
-            Granularity::Block { docs_per_block } => {
-                hac_codec::variant(out, 1);
-                hac_codec::struct_header(out, 1);
-                docs_per_block.encode(out);
-            }
+            Granularity::Exact => put_varint(out, 0),
+            Granularity::Block { docs_per_block } => variant(out, 1, docs_per_block),
         }
     }
 }
 
 impl Decode for Granularity {
     fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
-        match r.variant()? {
-            0 => {
-                r.unit()?;
-                Ok(Granularity::Exact)
-            }
-            1 => {
-                r.struct_of(1)?;
-                Ok(Granularity::Block {
-                    docs_per_block: Decode::decode(r)?,
-                })
-            }
+        match r.varint()? {
+            0 => Ok(Granularity::Exact),
+            1 => Ok(Granularity::Block {
+                docs_per_block: Decode::decode(r)?,
+            }),
             _ => Err(hac_codec::UNKNOWN_VARIANT),
         }
     }

@@ -5,7 +5,7 @@
 //! query language (`hac-query`) additionally has directory references; it
 //! lowers its content parts into this type.
 
-use hac_codec::{Decode, Encode, Reader};
+use hac_codec::{put_varint, variant, Decode, Encode, Reader};
 
 /// A boolean query over indexed content.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,49 +37,22 @@ pub enum ContentExpr {
     Nothing,
 }
 
-// Variant indexes follow declaration order; one-field variants carry the
-// field bare, wider ones a sequence of their fields.
+// Variant indexes follow declaration order; each index is followed by
+// the variant's fields in order.
 impl Encode for ContentExpr {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ContentExpr::Term(t) => {
-                hac_codec::variant(out, 0);
-                t.encode(out);
-            }
-            ContentExpr::Field(n, v) => {
-                hac_codec::variant(out, 1);
-                (n, v).encode(out);
-            }
-            ContentExpr::Phrase(ws) => {
-                hac_codec::variant(out, 2);
-                ws.encode(out);
-            }
-            ContentExpr::Approx(t, k) => {
-                hac_codec::variant(out, 3);
-                (t, k).encode(out);
-            }
-            ContentExpr::Prefix(t) => {
-                hac_codec::variant(out, 4);
-                t.encode(out);
-            }
-            ContentExpr::And(a, b) => {
-                hac_codec::variant(out, 5);
-                (a, b).encode(out);
-            }
-            ContentExpr::Or(a, b) => {
-                hac_codec::variant(out, 6);
-                (a, b).encode(out);
-            }
-            ContentExpr::AndNot(a, b) => {
-                hac_codec::variant(out, 7);
-                (a, b).encode(out);
-            }
-            ContentExpr::Not(a) => {
-                hac_codec::variant(out, 8);
-                a.encode(out);
-            }
-            ContentExpr::All => hac_codec::unit_variant(out, 9),
-            ContentExpr::Nothing => hac_codec::unit_variant(out, 10),
+            ContentExpr::Term(t) => variant(out, 0, t),
+            ContentExpr::Field(n, v) => variant(out, 1, &(n, v)),
+            ContentExpr::Phrase(ws) => variant(out, 2, ws),
+            ContentExpr::Approx(t, k) => variant(out, 3, &(t, k)),
+            ContentExpr::Prefix(t) => variant(out, 4, t),
+            ContentExpr::And(a, b) => variant(out, 5, &(a, b)),
+            ContentExpr::Or(a, b) => variant(out, 6, &(a, b)),
+            ContentExpr::AndNot(a, b) => variant(out, 7, &(a, b)),
+            ContentExpr::Not(a) => variant(out, 8, a),
+            ContentExpr::All => put_varint(out, 9),
+            ContentExpr::Nothing => put_varint(out, 10),
         }
     }
 }
@@ -105,12 +78,8 @@ impl ContentExpr {
             return Err(hac_codec::TOO_DEEP);
         }
         let sub = |r: &mut Reader<'_>| Self::decode_at(r, depth + 1).map(Box::new);
-        // A binary node's two children are written as a 2-tuple.
-        let pair = |r: &mut Reader<'_>| -> Result<_, hac_codec::Error> {
-            r.struct_of(2)?;
-            Ok((sub(r)?, sub(r)?))
-        };
-        Ok(match r.variant()? {
+        let pair = |r: &mut Reader<'_>| -> Result<_, hac_codec::Error> { Ok((sub(r)?, sub(r)?)) };
+        Ok(match r.varint()? {
             0 => ContentExpr::Term(Decode::decode(r)?),
             1 => {
                 let (n, v) = Decode::decode(r)?;
@@ -135,14 +104,8 @@ impl ContentExpr {
                 ContentExpr::AndNot(a, b)
             }
             8 => ContentExpr::Not(sub(r)?),
-            9 => {
-                r.unit()?;
-                ContentExpr::All
-            }
-            10 => {
-                r.unit()?;
-                ContentExpr::Nothing
-            }
+            9 => ContentExpr::All,
+            10 => ContentExpr::Nothing,
             _ => return Err(hac_codec::UNKNOWN_VARIANT),
         })
     }

@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use hac_codec::{Decode, Encode, Reader};
+
 /// Dense identifier of a term in the lexicon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TermId(pub u32);
@@ -15,7 +17,27 @@ pub struct Lexicon {
     by_id: Vec<String>,
 }
 
-hac_codec::impl_codec!(Lexicon { by_key, by_id });
+// Only the id order is written, so one lexicon has one encoding; the
+// key map is rebuilt on decode.
+impl Encode for Lexicon {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.by_id.encode(out);
+    }
+}
+
+impl Decode for Lexicon {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
+        let by_id = Vec::<String>::decode(r)?;
+        let by_key: HashMap<_, _> = (0..)
+            .zip(&by_id)
+            .map(|(i, k)| (k.clone(), TermId(i)))
+            .collect();
+        if by_key.len() != by_id.len() {
+            return Err(hac_codec::DUPLICATE_KEY);
+        }
+        Ok(Lexicon { by_key, by_id })
+    }
+}
 
 impl Lexicon {
     /// Creates an empty lexicon.
@@ -90,6 +112,25 @@ mod tests {
         assert_eq!(lex.get("nope"), None);
         assert_eq!(lex.key_of(id), Some("gamma"));
         assert_eq!(lex.key_of(TermId(99)), None);
+    }
+
+    #[test]
+    fn codec_writes_ids_in_order_and_refuses_a_repeated_key() {
+        let mut lex = Lexicon::new();
+        lex.intern("one");
+        lex.intern("two");
+        let bytes = hac_codec::encode_value(&lex);
+        assert_eq!(bytes, hac_codec::encode_value(&vec!["one", "two"]));
+        let back: Lexicon = hac_codec::decode_value(&bytes).unwrap();
+        assert_eq!(
+            (back.get("two"), back.key_of(TermId(0))),
+            (Some(TermId(1)), Some("one"))
+        );
+        let repeated = hac_codec::encode_value(&vec!["one", "one"]);
+        assert_eq!(
+            hac_codec::decode_value::<Lexicon>(&repeated).unwrap_err(),
+            hac_codec::DUPLICATE_KEY
+        );
     }
 
     #[test]

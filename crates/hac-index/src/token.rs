@@ -6,7 +6,7 @@
 //! style of the MIT Semantic File System's transducers, which the paper
 //! cites as the standard way to feed attribute queries.
 
-use hac_codec::{Decode, Encode, Reader};
+use hac_codec::{variant, Decode, Encode, Reader};
 
 /// Words shorter than this are not indexed.
 pub const MIN_WORD_LEN: usize = 2;
@@ -39,21 +39,15 @@ pub enum Token {
 impl Encode for Token {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Token::Word(w) => {
-                hac_codec::variant(out, 0);
-                w.encode(out);
-            }
-            Token::Field { name, value } => {
-                hac_codec::variant(out, 1);
-                (name, value).encode(out);
-            }
+            Token::Word(w) => variant(out, 0, w),
+            Token::Field { name, value } => variant(out, 1, &(name, value)),
         }
     }
 }
 
 impl Decode for Token {
     fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
-        match r.variant()? {
+        match r.varint()? {
             0 => Ok(Token::Word(String::decode(r)?)),
             1 => {
                 let (name, value) = Decode::decode(r)?;

@@ -13,9 +13,8 @@
 //! codec per direction:
 //!
 //! * a [`Request`] (`id`, `body`, optional `trace` context) travels in
-//!   the tagged codec of every persisted HAC format ([`hac_codec`]) —
-//!   requests are small, and the codec's strict struct arity rejects any
-//!   other shape;
+//!   the [`hac_codec`] layout of every persisted HAC format: varint
+//!   integers and lengths, fields in order, nothing left over;
 //! * a [`Response`] (`id`, optional `server_elapsed_us`, `body`) travels
 //!   in `hac-codec`'s fixed little-endian layout ([`encode_response_into`]
 //!   / [`decode_response`]), written and parsed with no reflection,
@@ -34,14 +33,14 @@
 
 use std::io::{self, Read, Write};
 
-use hac_codec::{fixed, Decode, Encode, Reader};
+use hac_codec::{fixed, put_varint, variant, Decode, Encode, Reader};
 use hac_core::{RemoteDoc, RemoteError};
 use hac_index::ContentExpr;
 
 /// Version of the frame payload encoding. Bump on any change to
 /// [`Request`]/[`Response`]: peers at different versions refuse each other
 /// at the handshake.
-pub const PROTOCOL_VERSION: u16 = 5;
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Magic bytes opening every frame.
 pub const FRAME_MAGIC: [u8; 4] = hac_codec::magic::FRAME;
@@ -174,47 +173,31 @@ pub enum RequestBody {
     },
 }
 
-// Variant indexes follow declaration order; every variant but the unit
-// `Capabilities` is a struct variant (a sequence of its fields).
+// Variant indexes follow declaration order; each index is followed by
+// the variant's fields in order.
 impl Encode for RequestBody {
     fn encode(&self, out: &mut Vec<u8>) {
-        fn one_field(out: &mut Vec<u8>, index: u64, field: &dyn Encode) {
-            hac_codec::variant(out, index);
-            hac_codec::struct_header(out, 1);
-            field.encode(out);
-        }
-        fn two_fields(out: &mut Vec<u8>, index: u64, fields: &dyn Encode) {
-            hac_codec::variant(out, index);
-            fields.encode(out);
-        }
         match self {
-            RequestBody::Ping { version } => one_field(out, 0, version),
-            RequestBody::Capabilities => hac_codec::unit_variant(out, 1),
-            RequestBody::Search { ns, query } => two_fields(out, 2, &(ns, query)),
-            RequestBody::Fetch { ns, doc } => two_fields(out, 3, &(ns, doc)),
-            RequestBody::Manifest { ns } => one_field(out, 4, ns),
-            RequestBody::Object { ns, hash } => two_fields(out, 5, &(ns, hash)),
-            RequestBody::ShardMap { ns } => one_field(out, 6, ns),
-            RequestBody::TraceSpans { ns, trace_id } => two_fields(out, 7, &(ns, trace_id)),
-            RequestBody::Metrics { ns } => one_field(out, 8, ns),
+            RequestBody::Ping { version } => variant(out, 0, version),
+            RequestBody::Capabilities => put_varint(out, 1),
+            RequestBody::Search { ns, query } => variant(out, 2, &(ns, query)),
+            RequestBody::Fetch { ns, doc } => variant(out, 3, &(ns, doc)),
+            RequestBody::Manifest { ns } => variant(out, 4, ns),
+            RequestBody::Object { ns, hash } => variant(out, 5, &(ns, hash)),
+            RequestBody::ShardMap { ns } => variant(out, 6, ns),
+            RequestBody::TraceSpans { ns, trace_id } => variant(out, 7, &(ns, trace_id)),
+            RequestBody::Metrics { ns } => variant(out, 8, ns),
         }
     }
 }
 
 impl Decode for RequestBody {
     fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
-        fn one_field<T: Decode>(r: &mut Reader<'_>) -> Result<T, hac_codec::Error> {
-            r.struct_of(1)?;
-            T::decode(r)
-        }
-        Ok(match r.variant()? {
+        Ok(match r.varint()? {
             0 => RequestBody::Ping {
-                version: one_field(r)?,
+                version: Decode::decode(r)?,
             },
-            1 => {
-                r.unit()?;
-                RequestBody::Capabilities
-            }
+            1 => RequestBody::Capabilities,
             2 => {
                 let (ns, query) = Decode::decode(r)?;
                 RequestBody::Search { ns, query }
@@ -223,17 +206,23 @@ impl Decode for RequestBody {
                 let (ns, doc) = Decode::decode(r)?;
                 RequestBody::Fetch { ns, doc }
             }
-            4 => RequestBody::Manifest { ns: one_field(r)? },
+            4 => RequestBody::Manifest {
+                ns: Decode::decode(r)?,
+            },
             5 => {
                 let (ns, hash) = Decode::decode(r)?;
                 RequestBody::Object { ns, hash }
             }
-            6 => RequestBody::ShardMap { ns: one_field(r)? },
+            6 => RequestBody::ShardMap {
+                ns: Decode::decode(r)?,
+            },
             7 => {
                 let (ns, trace_id) = Decode::decode(r)?;
                 RequestBody::TraceSpans { ns, trace_id }
             }
-            8 => RequestBody::Metrics { ns: one_field(r)? },
+            8 => RequestBody::Metrics {
+                ns: Decode::decode(r)?,
+            },
             _ => return Err(hac_codec::UNKNOWN_VARIANT),
         })
     }
@@ -424,8 +413,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// `InvalidData` when the bytes are not exactly one valid [`Request`] —
-/// the codec's strict struct arity refuses any other field count.
+/// `InvalidData` when the bytes are not exactly one valid [`Request`].
 pub fn decode_request(bytes: &[u8]) -> io::Result<Request> {
     hac_codec::decode_value(bytes).map_err(|_| invalid("request"))
 }
@@ -570,10 +558,10 @@ impl FrameDecoder {
 // ---------------------------------------------------------------------
 // Response codec.
 //
-// `hac-codec`'s fixed layout, written and parsed with no reflection and
-// no intermediate allocations on encode (the caller supplies the output
-// buffer). Tag bytes pin the layout: changing them is a protocol version
-// event, same as the request struct shapes above.
+// `hac-codec`'s fixed-width primitives, written and parsed field by
+// field with no intermediate allocations on encode (the caller supplies
+// the output buffer). Tag bytes pin the layout: changing them is a
+// protocol version event, same as the request layout above.
 
 const CT_PONG: u8 = 0;
 const CT_CAPABILITIES: u8 = 1;

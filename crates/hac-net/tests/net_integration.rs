@@ -316,7 +316,7 @@ fn one_version_and_one_codec_per_direction() {
         }
     );
 
-    // The old two-field request shape (tuples and structs encode alike)
+    // A request missing its trace flag (tuples and structs encode alike)
     // is refused, not silently accepted — and the connection survives.
     let old_shape = hac_codec::encode_value(&(2u64, RequestBody::Capabilities));
     let refused = raw_ask(&mut conn, &old_shape);

@@ -226,9 +226,9 @@ proptest! {
         prop_assert!(decoder.is_poisoned());
     }
 
-    /// The request codec's strict struct arity is the whole shape check:
-    /// the same id and body in the old two-field layout (tuples and
-    /// structs encode alike) must be refused, never silently accepted.
+    /// A request is its fields in order and nothing else: the same id
+    /// and body without the trace flag (tuples and structs encode alike)
+    /// must be refused, never silently accepted.
     #[test]
     fn two_field_requests_are_refused(id in any::<u64>(), body in request_strategy()) {
         let old_shape = hac_codec::encode_value(&(id, body));
@@ -263,5 +263,5 @@ fn version_constant_is_stable() {
     // Bumping the protocol version is a compatibility event — peers at
     // different versions refuse each other — so this test makes it a
     // conscious one.
-    assert_eq!(PROTOCOL_VERSION, 5);
+    assert_eq!(PROTOCOL_VERSION, 6);
 }

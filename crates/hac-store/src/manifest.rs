@@ -8,10 +8,10 @@
 //! manifests, superseded segments, and bases become unreferenced objects
 //! for GC to sweep.
 //!
-//! Encoding is `hac-codec`'s fixed layout inside the `HACM` envelope,
-//! rather than the tagged layout of the objects it names: the manifest
-//! is the recovery *root*, so it must be decodable before anything else
-//! and must fail loudly — not positionally — when its shape evolves.
+//! Encoding is `hac-codec`'s fixed-width primitives inside the `HACM`
+//! envelope, written field by field: the manifest is the recovery
+//! *root*, so it must be decodable before anything else and must fail
+//! loudly when its shape evolves.
 
 use hac_codec::{envelope, fixed};
 

@@ -41,6 +41,8 @@ pub enum VfsError {
     /// The operation is not supported by the (possibly mounted, possibly
     /// flat) namespace that owns the path.
     Unsupported(&'static str),
+    /// A namespace snapshot carries a version this build does not read.
+    SnapshotVersion(u8),
     /// The root directory cannot be removed, renamed, or replaced.
     RootImmutable,
     /// An open mode forbids the attempted access (e.g. write on a read-only
@@ -64,6 +66,7 @@ impl fmt::Display for VfsError {
             VfsError::CrossMount(p) => write!(f, "operation crosses a mount boundary: {p}"),
             VfsError::IntoSelf(p) => write!(f, "cannot move a directory into itself: {p}"),
             VfsError::Unsupported(what) => write!(f, "operation not supported: {what}"),
+            VfsError::SnapshotVersion(v) => write!(f, "unsupported snapshot version {v}"),
             VfsError::RootImmutable => write!(f, "the root directory cannot be modified"),
             VfsError::BadMode(m) => write!(f, "operation violates open mode: {m}"),
         }

@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use hac_codec::{Decode, Encode, Reader};
+use hac_codec::{variant, Decode, Encode, Reader};
 
 use crate::attr::{Attr, FileId, LogicalTime, NodeKind};
 use crate::path::VPath;
@@ -36,28 +36,21 @@ pub enum NodeBody {
     },
 }
 
-// Each variant is a one-field struct variant; file bytes are a sequence
-// of integers.
+// Each variant is its index, then its one field; file bytes are a count
+// and the raw bytes.
 impl Encode for NodeBody {
     fn encode(&self, out: &mut Vec<u8>) {
-        fn one_field<T: Encode + ?Sized>(out: &mut Vec<u8>, index: u64, field: &T) {
-            hac_codec::variant(out, index);
-            hac_codec::struct_header(out, 1);
-            field.encode(out);
-        }
         match self {
-            NodeBody::File { data } => one_field(out, 0, &data[..]),
-            NodeBody::Dir { entries } => one_field(out, 1, entries),
-            NodeBody::Symlink { target } => one_field(out, 2, target),
+            NodeBody::File { data } => variant(out, 0, &data[..]),
+            NodeBody::Dir { entries } => variant(out, 1, entries),
+            NodeBody::Symlink { target } => variant(out, 2, target),
         }
     }
 }
 
 impl Decode for NodeBody {
     fn decode(r: &mut Reader<'_>) -> Result<Self, hac_codec::Error> {
-        let index = r.variant()?;
-        r.struct_of(1)?;
-        Ok(match index {
+        Ok(match r.varint()? {
             0 => NodeBody::File {
                 data: Vec::<u8>::decode(r)?.into(),
             },

@@ -1,16 +1,22 @@
 //! Snapshot persistence for a namespace.
 //!
-//! A snapshot is the magic `HACVFS01` followed by the logical clock and the
-//! node table in the `hac_codec` layout. Snapshots cover the namespace structure and
-//! file contents — descriptor tables, caches and mounts are runtime state
-//! and are not persisted.
+//! A snapshot is the envelope `HACV` v2 followed by the logical clock and
+//! the node table in the `hac_codec` layout, so a file costs its bytes
+//! plus a few bytes of varints. Snapshots cover the namespace structure
+//! and file contents — descriptor tables, caches and mounts are runtime
+//! state and are not persisted. Any other version, the `HACVFS01` layout
+//! before it included, is refused by name; nothing migrates it.
+
+use hac_codec::envelope;
 
 use crate::error::{VfsError, VfsResult};
 use crate::fs::Vfs;
 use crate::node::NodeTable;
 
 /// Magic bytes identifying a VFS snapshot.
-const MAGIC: [u8; 8] = hac_codec::magic::VFS_SNAPSHOT;
+const MAGIC: [u8; 4] = hac_codec::magic::VFS_SNAPSHOT;
+/// The one snapshot version this build reads and writes.
+const VERSION: u8 = 2;
 
 struct Snapshot {
     clock: u64,
@@ -31,7 +37,7 @@ pub fn snapshot(vfs: &Vfs) -> VfsResult<Vec<u8>> {
         nodes: vfs.clone_nodes(),
     };
     let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(&MAGIC);
+    envelope::seal(&mut out, MAGIC, VERSION);
     hac_codec::Encode::encode(&snap, &mut out);
     Ok(out)
 }
@@ -41,12 +47,15 @@ pub fn snapshot(vfs: &Vfs) -> VfsResult<Vec<u8>> {
 ///
 /// # Errors
 ///
-/// Returns [`VfsError::Unsupported`] when the bytes are not a valid
+/// Returns [`VfsError::SnapshotVersion`] for a snapshot of another
+/// version and [`VfsError::Unsupported`] when the bytes are not a valid
 /// snapshot.
 pub fn restore(vfs: &Vfs, bytes: &[u8]) -> VfsResult<()> {
-    let body = bytes
-        .strip_prefix(&MAGIC)
-        .ok_or(VfsError::Unsupported("snapshot magic mismatch"))?;
+    let (version, body) = envelope::open(bytes, MAGIC)
+        .map_err(|_| VfsError::Unsupported("snapshot magic mismatch"))?;
+    if version != VERSION {
+        return Err(VfsError::SnapshotVersion(version));
+    }
     let snap: Snapshot =
         hac_codec::decode_value(body).map_err(|_| VfsError::Unsupported("snapshot decode"))?;
     vfs.replace_nodes(snap.nodes, snap.clock);
@@ -85,8 +94,8 @@ mod tests {
         let fs = Vfs::new();
         assert!(restore(&fs, b"not a snapshot").is_err());
         assert!(restore(&fs, b"").is_err());
-        // Valid magic but truncated body.
-        assert!(restore(&fs, b"HACVFS01").is_err());
+        // Valid envelope but truncated body.
+        assert!(restore(&fs, b"HACV\x02").is_err());
     }
 
     #[test]

@@ -79,5 +79,26 @@ fn a_peer_at_another_version_is_refused_at_the_handshake() {
             client: version,
         })
     );
+
+    // A version 5 peer opens with a ping in the tagged request layout,
+    // which is answered as a bad request, not dropped.
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let tagged_ping = concat!(
+        "0303000000000000000101000000000000000800000000000000000301000000",
+        "0000000001050000000000000005",
+    );
+    let tagged_ping: Vec<u8> = (0..tagged_ping.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&tagged_ping[i..i + 2], 16).unwrap())
+        .collect();
+    wire::write_frame(&mut conn, &tagged_ping).unwrap();
+    let answer = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
+    let answer = wire::decode_response(&answer).unwrap();
+    assert_eq!(answer.id, 0);
+    assert!(matches!(
+        answer.body,
+        ResponseBody::Err(WireError::BadRequest(_))
+    ));
     server.shutdown();
 }
