@@ -86,14 +86,13 @@ impl ReindexDaemon {
         let status = Arc::new(Mutex::new(DaemonStatus::default()));
         let thread_status = Arc::clone(&status);
         // The daemon is an operational anchor: it installs the configured
-        // SLOs and guarantees the time-series sampler runs (either the
-        // background thread, or the tick-driven fallback below).
+        // SLOs and the sampling interval, and its tick is one of the
+        // clocks that pull the time series forward (below).
         let cfg = fs.config();
         if !cfg.slos.is_empty() {
             hac_obs::slo::install(&cfg.slos);
         }
         hac_obs::timeseries::global().set_interval_ms(cfg.sample_interval_ms);
-        hac_obs::start_sampler(Duration::from_millis(cfg.sample_interval_ms));
         let handle = std::thread::spawn(move || {
             // Seeded off the interval only: determinism across runs matters
             // more than unpredictability, jitter just de-syncs daemons that
@@ -111,9 +110,8 @@ impl ReindexDaemon {
                         // `reindex_pass_failed` event carries the trace too.
                         let _pass_span = hac_obs::span!("reindex_daemon_pass");
                         let result = tick(&fs);
-                        // Fallback sampling: a no-op while the background
-                        // sampler thread runs, otherwise keeps series alive
-                        // at daemon cadence.
+                        // Samples when an interval has elapsed, so series
+                        // stay alive at daemon cadence without a server.
                         hac_obs::sample_if_due();
                         let mut status = lock(&thread_status);
                         match result {

@@ -120,8 +120,9 @@ pub struct HacConfig {
     /// the parsed form of one spec line like
     /// `query-latency: hac_query_eval_duration_us p99 < 5ms over 60s`.
     pub slos: Vec<hac_obs::SloSpec>,
-    /// Interval of the background metrics sampler (milliseconds) started
-    /// by the daemon / server; also paces the scrape-pull fallback.
+    /// Time-series sampling interval (milliseconds), installed by the
+    /// reindex daemon: `hac_obs::sample_if_due` samples at most this
+    /// often, whichever tick pulls it (server loop, daemon, scrape, `top`).
     pub sample_interval_ms: u64,
 }
 

@@ -1,35 +1,43 @@
-//! `HacServer`: exports [`RemoteQuerySystem`] backends over TCP.
+//! `HacServer`: exports [`RemoteQuerySystem`] backends over TCP, and
+//! serves the observability endpoints over HTTP.
 //!
 //! Architecture: a single readiness-driven event loop (a [`polling`]
 //! reactor over nonblocking sockets) owns every connection. Each
 //! connection is a small state machine — an incremental
 //! [`FrameDecoder`](crate::wire::FrameDecoder) assembling HACN frames
-//! from whatever chunks the kernel delivers, and a write buffer that
-//! batches every response completed in one readiness cycle into a
-//! single flush. Query/index work runs on a small CPU worker pool off
-//! the loop; completions post back through the poller's wakeup channel,
-//! so a slow search never blocks the other ten thousand sockets.
-//! Pipelined bursts fan out across the workers and may complete out of
-//! order — the wire's request ids make that legal. A per-namespace cost
-//! model (EWMA of measured dispatch time) lets *proven-cheap* requests
-//! run on the loop thread instead — no handoff, no wakeup — with
+//! from whatever chunks the kernel delivers, and a write buffer flushed
+//! at the end of each readiness cycle. A connection has at most one
+//! request in flight: a frame the peer sent early waits in the decoder
+//! and is served, in order, once the response before it is queued.
+//! Query/index work runs on a small CPU worker pool off the loop;
+//! completions post back through the poller's wakeup channel, so a slow
+//! search never blocks the other ten thousand sockets. A per-namespace
+//! cost model (EWMA of measured dispatch time) lets *proven-cheap*
+//! requests run on the loop thread instead — no handoff, no wakeup — with
 //! eligibility revoked by a single over-budget sample; unknown backends
 //! always start on the workers.
+//!
+//! [`HacServer::serve_obs`] runs the same loop for the observability
+//! endpoints: each connection carries one HTTP/1.1 request head, routed
+//! by [`hac_obs::http::respond`] on a CPU worker, answered, and closed.
 //!
 //! Lifecycle hardening: an idle timeout reaps silent connections, a
 //! mid-frame read deadline sheds slow-loris peers (a frame that started
 //! must finish within `read_timeout`), a write-stall deadline drops
-//! peers that stop draining responses, per-connection pipelining is
-//! capped by pausing reads (backpressure, not disconnection), and
-//! shutdown drains gracefully — in-flight requests finish and flush
-//! before sockets close.
+//! peers that stop draining responses, reads pause while a request is on
+//! the CPU pool (backpressure, not disconnection), and shutdown drains
+//! gracefully — in-flight requests finish and flush before sockets close.
+//!
+//! Every loop wakeup also pulls the time series forward
+//! ([`hac_obs::sample_if_due`]), so a serving process samples without a
+//! thread of its own.
 //!
 //! Metrics: the per-request/connection families from the blocking era
 //! (`hac_net_server_requests_total{op}` …) plus event-loop telemetry:
 //! `hac_net_server_wakeups_total`, `hac_net_server_ready_events_total`,
-//! `hac_net_server_frames_per_flush`, `hac_net_server_pipeline_depth`,
 //! `hac_net_server_inline_total`, `hac_net_server_offloaded_total`, and
-//! `hac_net_server_reaped_total{reason}`.
+//! `hac_net_server_reaped_total{reason}`. They are process-wide, so they
+//! count obs connections too.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -65,9 +73,6 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Connections with no traffic for this long are reaped.
     pub idle_timeout: Duration,
-    /// Requests one connection may have in flight; past it the server
-    /// pauses reading that socket (backpressure) until responses drain.
-    pub max_pipeline: usize,
     /// Ceiling on one frame's payload.
     pub max_frame_len: u32,
 }
@@ -80,7 +85,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(250),
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
-            max_pipeline: 128,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
         }
     }
@@ -90,14 +94,26 @@ impl Default for ServerConfig {
 /// below this; `usize::MAX` is the poller's own wakeup key).
 const LISTENER_KEY: usize = usize::MAX - 1;
 
-/// One unit of backend work handed to the CPU pool.
+type Backends = BTreeMap<String, Arc<dyn RemoteQuerySystem>>;
+
+/// What a server's connections speak, and what answers them.
+enum Service {
+    /// HACN frames, answered by the exported backends.
+    Hacn(Arc<Backends>),
+    /// One HTTP/1.1 request head per connection, answered by the obs
+    /// routes.
+    Obs(Arc<hac_obs::http::Routes>),
+}
+
+/// One unit of work handed to the CPU pool: it returns the payload of
+/// the connection's response.
 struct Job {
     key: usize,
     generation: u64,
-    request: Request,
+    run: Box<dyn FnOnce() -> Vec<u8> + Send>,
 }
 
-/// A finished job's encoded response payload, routed back to the loop.
+/// A finished job's response payload, routed back to the loop.
 struct Completion {
     key: usize,
     generation: u64,
@@ -155,6 +171,24 @@ impl Shared {
             (3 * entry[slot] + sample) / 4
         };
     }
+
+    /// Dispatches `request` and feeds its measured cost into the model.
+    fn serve(&self, request: Request, backends: &Backends) -> Response {
+        let bill_to = cost_slot(&request.body).map(|(ns, slot)| (ns.to_string(), slot));
+        let started = Instant::now();
+        let response = dispatch(request, backends);
+        self.record_cost(
+            bill_to.as_ref().map(|(ns, slot)| (ns.as_str(), *slot)),
+            started.elapsed().as_micros() as u64,
+        );
+        response
+    }
+
+    /// Queues `job` for the CPU pool and wakes one worker.
+    fn offload(&self, job: Job) {
+        self.jobs.lock().expect("job queue poisoned").push_back(job);
+        self.jobs_ready.notify_one();
+    }
 }
 
 /// The cost-model slot a request body bills to: `(namespace, 0)` for
@@ -189,8 +223,6 @@ struct LoopMetrics {
     active: hac_obs::Gauge,
     bytes_read: hac_obs::Counter,
     bytes_written: hac_obs::Counter,
-    pipeline_depth: hac_obs::Histogram,
-    frames_per_flush: hac_obs::Histogram,
     inline: hac_obs::Counter,
     offloaded: hac_obs::Counter,
 }
@@ -205,8 +237,6 @@ impl LoopMetrics {
             active: hac_obs::gauge("hac_net_server_active_connections", &[]),
             bytes_read: hac_obs::counter("hac_net_server_bytes_read_total", &[]),
             bytes_written: hac_obs::counter("hac_net_server_bytes_written_total", &[]),
-            pipeline_depth: hac_obs::histogram("hac_net_server_pipeline_depth", &[]),
-            frames_per_flush: hac_obs::histogram("hac_net_server_frames_per_flush", &[]),
             inline: hac_obs::counter("hac_net_server_inline_total", &[]),
             offloaded: hac_obs::counter("hac_net_server_offloaded_total", &[]),
         }
@@ -273,7 +303,9 @@ pub struct LoopStats {
     pub offloaded_total: u64,
 }
 
-/// A running TCP server exporting one or more remote name spaces.
+/// A running TCP server: the HACN protocol over exported name spaces
+/// ([`serve`](Self::serve)), or the observability endpoints over HTTP
+/// ([`serve_obs`](Self::serve_obs)).
 pub struct HacServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -296,17 +328,43 @@ impl HacServer {
         backends: Vec<Arc<dyn RemoteQuerySystem>>,
         config: ServerConfig,
     ) -> io::Result<HacServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        // A serving process is an operational one: make sure the windowed
-        // time-series layer is sampling (first starter wins; no-op later).
-        hac_obs::start_sampler(Duration::from_millis(hac_obs::DEFAULT_SAMPLE_INTERVAL_MS));
-        let mut map: BTreeMap<String, Arc<dyn RemoteQuerySystem>> = BTreeMap::new();
+        let mut map = Backends::new();
         for b in backends {
             map.entry(b.namespace().0).or_insert(b);
         }
-        let backends = Arc::new(map);
+        let server = HacServer::start(addr, Service::Hacn(Arc::new(map)), config)?;
+        hac_obs::gauge("hac_net_server_workers", &[]).set(server.workers.len() as i64);
+        Ok(server)
+    }
+
+    /// Binds `addr` and serves the observability endpoints of
+    /// [`hac_obs::http`] on the same event loop. Each connection carries
+    /// one HTTP/1.1 request head (one over 8 KiB gets a `400`); its route
+    /// runs on a CPU worker, never inline, because `/trace/<id>` and
+    /// `/fleet/*` block on peer fetches; the server writes the response,
+    /// then closes the connection. The read, write-stall and idle
+    /// deadlines and the `max_connections` reject-at-accept apply as they
+    /// do to HACN connections.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from binding the listener or creating the poller.
+    pub fn serve_obs(
+        addr: impl ToSocketAddrs,
+        routes: hac_obs::http::Routes,
+        config: ServerConfig,
+    ) -> io::Result<HacServer> {
+        HacServer::start(addr, Service::Obs(Arc::new(routes)), config)
+    }
+
+    fn start(
+        addr: impl ToSocketAddrs,
+        service: Service,
+        config: ServerConfig,
+    ) -> io::Result<HacServer> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
             poller: Poller::new()?,
@@ -323,17 +381,15 @@ impl HacServer {
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let shutdown = Arc::clone(&shutdown);
-                let backends = Arc::clone(&backends);
-                std::thread::spawn(move || cpu_worker(&shared, &backends, &shutdown))
+                std::thread::spawn(move || cpu_worker(&shared, &shutdown))
             })
             .collect();
-        hac_obs::gauge("hac_net_server_workers", &[]).set(config.workers.max(1) as i64);
 
         let event_loop = {
             let shared = Arc::clone(&shared);
             let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
-                EventLoop::new(listener, shared, backends, config, shutdown).run();
+                EventLoop::new(listener, shared, service, config, shutdown).run();
             })
         };
 
@@ -393,13 +449,9 @@ impl Drop for HacServer {
     }
 }
 
-/// CPU worker: pops backend jobs, dispatches, encodes, posts the
-/// completion back to the loop through the poller's wakeup channel.
-fn cpu_worker(
-    shared: &Shared,
-    backends: &BTreeMap<String, Arc<dyn RemoteQuerySystem>>,
-    shutdown: &AtomicBool,
-) {
+/// CPU worker: pops jobs, runs them, posts each completion back to the
+/// loop through the poller's wakeup channel.
+fn cpu_worker(shared: &Shared, shutdown: &AtomicBool) {
     loop {
         let job = {
             let mut q = shared.jobs.lock().expect("job queue poisoned");
@@ -418,14 +470,7 @@ fn cpu_worker(
             }
         };
         let Some(job) = job else { return };
-        let bill_to = cost_slot(&job.request.body).map(|(ns, slot)| (ns.to_string(), slot));
-        let started = Instant::now();
-        let response = dispatch(job.request, backends);
-        shared.record_cost(
-            bill_to.as_ref().map(|(ns, slot)| (ns.as_str(), *slot)),
-            started.elapsed().as_micros() as u64,
-        );
-        let payload = wire::encode_response(&response);
+        let payload = (job.run)();
         shared
             .completions
             .lock()
@@ -442,9 +487,12 @@ fn cpu_worker(
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
+    /// HACN frames as they assemble.
     decoder: FrameDecoder,
-    /// Framed responses awaiting the socket; one flush per readiness
-    /// cycle drains every response completed in it.
+    /// The HTTP request head as it assembles (obs connections).
+    head: Vec<u8>,
+    /// Framed responses awaiting the socket, flushed at the end of each
+    /// readiness cycle.
     write_buf: Vec<u8>,
     write_pos: usize,
     /// Reused encode buffer for responses produced on the loop thread
@@ -452,29 +500,50 @@ struct Conn {
     /// round trip).
     scratch: Vec<u8>,
     generation: u64,
-    in_flight: usize,
+    /// A request is on the CPU pool. Reads pause, and later frames wait
+    /// in the decoder, until its response is queued.
+    in_flight: bool,
     /// Peer half-closed its write side; finish pending work, then close.
     read_closed: bool,
+    /// The obs response is queued. Further input is discarded; once the
+    /// response is flushed the server half-closes and waits for the
+    /// peer's EOF, because closing with unread input resets the
+    /// connection and can destroy the response in transit.
+    answered: bool,
     interest: Interest,
     last_activity: Instant,
     /// When the currently-buffered partial frame started (slow-loris
-    /// deadline); `None` while between frames.
+    /// deadline); `None` while between frames or while a request is in
+    /// flight.
     mid_frame_since: Option<Instant>,
     /// When the write buffer last failed to drain fully.
     write_stall_since: Option<Instant>,
-    /// Responses appended since the last flush (frames-per-flush metric).
-    buffered_responses: usize,
 }
 
 impl Conn {
     fn append_response(&mut self, resp: &Response) {
         wire::encode_response_into(resp, &mut self.scratch);
         wire::append_frame(&mut self.write_buf, &self.scratch);
-        self.buffered_responses += 1;
     }
 
     fn flushed(&self) -> bool {
         self.write_pos == self.write_buf.len()
+    }
+
+    /// Request bytes buffered but not yet dispatched.
+    fn pending_bytes(&self) -> usize {
+        self.decoder.pending_bytes() + self.head.len()
+    }
+
+    /// Starts, keeps or stops the slow-loris clock: it runs only while no
+    /// request is in flight and a partial request sits in the buffer, so
+    /// bytes the server holds back never count against the peer.
+    fn update_read_clock(&mut self) {
+        self.mid_frame_since = if !self.in_flight && self.pending_bytes() > 0 {
+            self.mid_frame_since.or_else(|| Some(Instant::now()))
+        } else {
+            None
+        };
     }
 }
 
@@ -482,9 +551,7 @@ impl Conn {
 /// between sockets, the CPU pool, and completions.
 struct EventLoop {
     shared: Arc<Shared>,
-    /// For proven-cheap dispatches run on the loop thread itself (the
-    /// cost model gates which; everything else goes to the CPU pool).
-    backends: Arc<BTreeMap<String, Arc<dyn RemoteQuerySystem>>>,
+    service: Service,
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
     listener: Option<TcpListener>,
@@ -494,7 +561,6 @@ struct EventLoop {
     generations: Vec<u64>,
     free: Vec<usize>,
     active: usize,
-    total_in_flight: usize,
     /// Connections touched this cycle, flushed together at its end.
     dirty: Vec<usize>,
     draining: bool,
@@ -506,13 +572,13 @@ impl EventLoop {
     fn new(
         listener: TcpListener,
         shared: Arc<Shared>,
-        backends: Arc<BTreeMap<String, Arc<dyn RemoteQuerySystem>>>,
+        service: Service,
         config: ServerConfig,
         shutdown: Arc<AtomicBool>,
     ) -> EventLoop {
         EventLoop {
             shared,
-            backends,
+            service,
             config,
             shutdown,
             listener: Some(listener),
@@ -520,7 +586,6 @@ impl EventLoop {
             generations: Vec::new(),
             free: Vec::new(),
             active: 0,
-            total_in_flight: 0,
             dirty: Vec::new(),
             draining: false,
             drain_deadline: None,
@@ -566,6 +631,9 @@ impl EventLoop {
             }
             events = taken;
             self.flush_dirty();
+            // The loop wakes at least every 50 ms: it is the serving
+            // process's time-series clock.
+            hac_obs::sample_if_due();
             if last_scan.elapsed() >= scan_every {
                 self.scan_deadlines();
                 last_scan = Instant::now();
@@ -640,17 +708,18 @@ impl EventLoop {
                     self.conns[key] = Some(Conn {
                         stream,
                         decoder: FrameDecoder::new(self.config.max_frame_len),
+                        head: Vec::new(),
                         write_buf: Vec::new(),
                         write_pos: 0,
                         scratch: Vec::new(),
                         generation: self.generations[key],
-                        in_flight: 0,
+                        in_flight: false,
                         read_closed: false,
+                        answered: false,
                         interest: Interest::READ,
                         last_activity: Instant::now(),
                         mid_frame_since: None,
                         write_stall_since: None,
-                        buffered_responses: 0,
                     });
                     self.active += 1;
                     self.metrics.active.add(1);
@@ -663,6 +732,7 @@ impl EventLoop {
     }
 
     fn conn_readable(&mut self, key: usize, chunk: &mut [u8]) {
+        let obs = matches!(self.service, Service::Obs(_));
         let mut failed = false;
         {
             let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) else {
@@ -676,15 +746,23 @@ impl EventLoop {
                     }
                     Ok(n) => {
                         self.metrics.bytes_read.add(n as u64);
-                        conn.decoder.push(&chunk[..n]);
-                        conn.last_activity = Instant::now();
+                        // An answered obs connection reads only to reach
+                        // the peer's EOF, and goes idle if it keeps sending.
+                        if !conn.answered {
+                            if obs {
+                                conn.head.extend_from_slice(&chunk[..n]);
+                            } else {
+                                conn.decoder.push(&chunk[..n]);
+                            }
+                            conn.last_activity = Instant::now();
+                        }
                         if n < chunk.len() {
                             break;
                         }
                         // Socket may hold more, but cap what one connection
                         // buffers per cycle; level-triggered readiness
                         // resumes it next cycle (fairness + backpressure).
-                        if conn.decoder.pending_bytes() > 256 * 1024 {
+                        if conn.pending_bytes() > 256 * 1024 {
                             break;
                         }
                     }
@@ -704,93 +782,64 @@ impl EventLoop {
         self.pump(key);
     }
 
-    /// Drains completed frames from `key`'s decoder (up to the pipeline
-    /// cap) and fans the decoded requests out to the CPU pool.
+    /// Dispatches what `key` has buffered, up to its one request in
+    /// flight.
     fn pump(&mut self, key: usize) {
-        let max_pipeline = self.config.max_pipeline.max(1);
-        let mut jobs: Vec<Job> = Vec::new();
-        let mut framing_lost = false;
-        {
-            let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) else {
-                return;
-            };
-            while conn.in_flight + jobs.len() < max_pipeline {
-                let decoded = match conn.decoder.next_frame() {
-                    Ok(Some(payload)) => wire::decode_request(payload),
-                    Ok(None) => break,
-                    Err(_) => {
-                        framing_lost = true;
-                        break;
-                    }
-                };
-                match decoded {
-                    Ok(request) => jobs.push(Job {
-                        key,
-                        generation: conn.generation,
-                        request,
-                    }),
-                    Err(_) => {
-                        let resp = Response::new(
-                            0,
-                            ResponseBody::Err(WireError::BadRequest(
-                                "undecodable request".to_string(),
-                            )),
-                        );
-                        conn.append_response(&resp);
-                    }
-                }
-            }
-            conn.mid_frame_since = if !framing_lost && conn.decoder.pending_bytes() > 0 {
-                conn.mid_frame_since.or_else(|| Some(Instant::now()))
-            } else {
-                None
-            };
+        match &self.service {
+            Service::Hacn(_) => self.pump_frames(key),
+            Service::Obs(_) => self.pump_head(key),
         }
-        if !jobs.is_empty() {
-            self.metrics.pipeline_depth.record(jobs.len() as u64);
-            // Proven-cheap dispatches (per the cost model) run right here
-            // on the loop thread — no handoff, no wakeup, the whole
-            // request served in one readiness cycle. Unknown or slow ones
-            // go to the CPU pool, where they cannot stall reads, writes,
-            // accepts, or deadline scans for every other connection.
-            let mut offload: Vec<Job> = Vec::new();
-            let mut inlined = 0u64;
-            for job in jobs {
-                if !self.shared.inline_eligible(&job.request.body) {
-                    offload.push(job);
-                    continue;
+    }
+
+    /// Serves `key`'s complete frames in order: proven-cheap requests
+    /// (per the cost model) run right here on the loop thread — no
+    /// handoff, no wakeup — and the first one that is not goes to the CPU
+    /// pool, where it cannot stall reads, writes, accepts, or deadline
+    /// scans for every other connection. Frames behind it wait.
+    fn pump_frames(&mut self, key: usize) {
+        let Service::Hacn(backends) = &self.service else {
+            return;
+        };
+        let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) else {
+            return;
+        };
+        let mut framing_lost = false;
+        let mut inlined = 0u64;
+        while !conn.in_flight {
+            let decoded = match conn.decoder.next_frame() {
+                Ok(Some(payload)) => wire::decode_request(payload),
+                Ok(None) => break,
+                Err(_) => {
+                    framing_lost = true;
+                    break;
                 }
-                let bill_to = cost_slot(&job.request.body).map(|(ns, slot)| (ns.to_string(), slot));
-                let started = Instant::now();
-                let response = dispatch(job.request, &self.backends);
-                self.shared.record_cost(
-                    bill_to.as_ref().map(|(ns, slot)| (ns.as_str(), *slot)),
-                    started.elapsed().as_micros() as u64,
+            };
+            let Ok(request) = decoded else {
+                let resp = Response::new(
+                    0,
+                    ResponseBody::Err(WireError::BadRequest("undecodable request".to_string())),
                 );
-                if let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) {
-                    conn.append_response(&response);
-                }
+                conn.append_response(&resp);
+                continue;
+            };
+            if self.shared.inline_eligible(&request.body) {
+                conn.append_response(&self.shared.serve(request, backends));
                 inlined += 1;
+            } else {
+                let shared = Arc::clone(&self.shared);
+                let backends = Arc::clone(backends);
+                self.shared.offload(Job {
+                    key,
+                    generation: conn.generation,
+                    run: Box::new(move || wire::encode_response(&shared.serve(request, &backends))),
+                });
+                self.metrics.offloaded.inc();
+                conn.in_flight = true;
             }
-            if inlined > 0 {
-                self.metrics.inline.add(inlined);
-            }
-            if !offload.is_empty() {
-                self.metrics.offloaded.add(offload.len() as u64);
-                let n = offload.len();
-                self.total_in_flight += n;
-                if let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) {
-                    conn.in_flight += n;
-                }
-                let mut q = self.shared.jobs.lock().expect("job queue poisoned");
-                q.extend(offload);
-                drop(q);
-                if n == 1 {
-                    self.shared.jobs_ready.notify_one();
-                } else {
-                    self.shared.jobs_ready.notify_all();
-                }
-            }
+        }
+        conn.update_read_clock();
+        if inlined > 0 {
+            self.metrics.inline.add(inlined);
         }
         if framing_lost {
             // The stream has no recoverable frame boundary; drop the
@@ -799,6 +848,30 @@ impl EventLoop {
             self.close(key, None);
             return;
         }
+        self.dirty.push(key);
+    }
+
+    /// Hands `key`'s request head to the CPU pool once it is complete (or
+    /// over the size cap, which the route answers with a `400`).
+    fn pump_head(&mut self, key: usize) {
+        let Service::Obs(routes) = &self.service else {
+            return;
+        };
+        let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) else {
+            return;
+        };
+        if !conn.in_flight && !conn.answered && hac_obs::http::head_ready(&conn.head) {
+            let head = std::mem::take(&mut conn.head);
+            let routes = Arc::clone(routes);
+            self.shared.offload(Job {
+                key,
+                generation: conn.generation,
+                run: Box::new(move || hac_obs::http::respond(&head, &routes)),
+            });
+            self.metrics.offloaded.inc();
+            conn.in_flight = true;
+        }
+        conn.update_read_clock();
         self.dirty.push(key);
     }
 
@@ -811,10 +884,6 @@ impl EventLoop {
                 .expect("completion queue poisoned");
             std::mem::take(&mut *guard)
         };
-        if done.is_empty() {
-            return;
-        }
-        let mut repump: Vec<usize> = Vec::new();
         for c in done {
             if self.generations.get(c.key) != Some(&c.generation) {
                 continue; // connection died while the job ran
@@ -822,19 +891,16 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(c.key).and_then(Option::as_mut) else {
                 continue;
             };
-            wire::append_frame(&mut conn.write_buf, &c.payload);
-            conn.buffered_responses += 1;
-            conn.in_flight -= 1;
-            self.total_in_flight -= 1;
-            // Frames that were decoded-but-capped (pipeline backpressure)
-            // can proceed now that a slot freed up.
-            if conn.decoder.pending_bytes() > 0 {
-                repump.push(c.key);
+            match self.service {
+                Service::Hacn(_) => wire::append_frame(&mut conn.write_buf, &c.payload),
+                Service::Obs(_) => {
+                    conn.write_buf.extend_from_slice(&c.payload);
+                    conn.answered = true;
+                }
             }
-            self.dirty.push(c.key);
-        }
-        for key in repump {
-            self.pump(key);
+            conn.in_flight = false;
+            // A frame that waited behind this request is served now.
+            self.pump(c.key);
         }
     }
 
@@ -863,12 +929,6 @@ impl EventLoop {
                 conn.write_pos = 0;
                 return;
             }
-            if conn.buffered_responses > 0 {
-                self.metrics
-                    .frames_per_flush
-                    .record(conn.buffered_responses as u64);
-                conn.buffered_responses = 0;
-            }
             let mut progressed = false;
             while conn.write_pos < conn.write_buf.len() {
                 match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
@@ -894,6 +954,9 @@ impl EventLoop {
                     conn.write_buf.clear();
                     conn.write_pos = 0;
                     conn.write_stall_since = None;
+                    if conn.answered {
+                        let _ = conn.stream.shutdown(Shutdown::Write);
+                    }
                 } else if progressed || conn.write_stall_since.is_none() {
                     conn.write_stall_since = Some(Instant::now());
                 }
@@ -905,13 +968,12 @@ impl EventLoop {
     }
 
     fn sync_interest(&mut self, key: usize) {
-        let max_pipeline = self.config.max_pipeline.max(1);
         let draining = self.draining;
         let Some(conn) = self.conns.get_mut(key).and_then(Option::as_mut) else {
             return;
         };
         let want = Interest {
-            readable: !draining && !conn.read_closed && conn.in_flight < max_pipeline,
+            readable: !draining && !conn.read_closed && !conn.in_flight,
             writable: !conn.flushed(),
         };
         if want != conn.interest
@@ -930,7 +992,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get(key).and_then(Option::as_ref) else {
                 return;
             };
-            (conn.read_closed || self.draining) && conn.in_flight == 0 && conn.flushed()
+            (conn.read_closed || self.draining) && !conn.in_flight && conn.flushed()
         };
         if should {
             self.close(key, None);
@@ -952,9 +1014,9 @@ impl EventLoop {
                 .is_some_and(|t| now.duration_since(t) > self.config.write_timeout)
             {
                 reap.push((key, "slow_write"));
-            } else if conn.in_flight == 0
+            } else if !conn.in_flight
                 && conn.flushed()
-                && conn.decoder.pending_bytes() == 0
+                && conn.pending_bytes() == 0
                 && now.duration_since(conn.last_activity) > self.config.idle_timeout
             {
                 reap.push((key, "idle"));
@@ -969,20 +1031,20 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(key).and_then(Option::take) else {
             return;
         };
+        // Counted before the peer can see the close.
+        if let Some(reason) = reaped {
+            hac_obs::counter("hac_net_server_reaped_total", &[("reason", reason)]).inc();
+        }
         let _ = self.shared.poller.delete(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);
         self.generations[key] += 1;
         self.free.push(key);
         self.active -= 1;
-        self.total_in_flight -= conn.in_flight;
         self.metrics.active.add(-1);
-        if let Some(reason) = reaped {
-            hac_obs::counter("hac_net_server_reaped_total", &[("reason", reason)]).inc();
-        }
     }
 }
 
-fn dispatch(request: Request, backends: &BTreeMap<String, Arc<dyn RemoteQuerySystem>>) -> Response {
+fn dispatch(request: Request, backends: &Backends) -> Response {
     let op = request.body.op();
     // Continue the client's trace on this thread: the context guard
     // parents the server span (and everything the backend records) under
@@ -1079,7 +1141,6 @@ mod tests {
     use super::*;
     use hac_core::remote::{NamespaceId, RemoteDoc, RemoteError};
     use hac_index::ContentExpr;
-    use std::collections::BTreeSet;
 
     struct Fixed;
 
@@ -1212,37 +1273,6 @@ mod tests {
             ResponseBody::Err(WireError::UnknownNamespace("zzz".into()))
         );
 
-        server.shutdown();
-    }
-
-    #[test]
-    fn pipelined_requests_are_all_answered_with_matching_ids() {
-        let server = HacServer::serve(
-            "127.0.0.1:0",
-            vec![Arc::new(Fixed)],
-            ServerConfig::default(),
-        )
-        .unwrap();
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // Send three requests before reading any response. Completions may
-        // arrive out of order (the ids exist precisely so that is legal).
-        for id in [100u64, 101, 102] {
-            let bytes = wire::encode_request(&Request {
-                id,
-                trace: None,
-                body: RequestBody::Capabilities,
-            });
-            wire::write_frame(&mut conn, &bytes).unwrap();
-        }
-        let mut got = BTreeSet::new();
-        for _ in 0..3 {
-            let payload = wire::read_frame(&mut conn, wire::DEFAULT_MAX_FRAME_LEN).unwrap();
-            let resp = wire::decode_response(&payload).unwrap();
-            assert!(matches!(resp.body, ResponseBody::Capabilities { .. }));
-            got.insert(resp.id);
-        }
-        assert_eq!(got, BTreeSet::from([100, 101, 102]));
         server.shutdown();
     }
 

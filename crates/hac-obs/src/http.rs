@@ -1,9 +1,8 @@
-//! Embedded pull-based observability endpoint.
+//! The observability endpoints, as a pure function from one HTTP/1.1
+//! request head to the bytes of its response.
 //!
-//! [`ObsServer`] is a deliberately tiny HTTP/1.1 server — std `TcpListener`,
-//! an accept thread feeding a bounded queue, and a fixed worker pool (the
-//! same shape as the `hac-net` request server) — that exposes the global
-//! [`Obs`](crate::Obs) domain for scrapers and humans:
+//! [`respond`] routes a request head against the global [`Obs`](crate::Obs)
+//! domain for scrapers and humans:
 //!
 //! | endpoint        | payload                                              |
 //! |-----------------|------------------------------------------------------|
@@ -18,60 +17,28 @@
 //! | `/fleet/metrics`| fleet-merged exposition, every sample `node`-labeled |
 //! | `/fleet/health` | per-shard health + replica lag JSON                  |
 //!
-//! A server started with [`ObsServer::serve_fleet`] additionally follows
-//! the federation: `/trace/<id>` scatter-fetches the span forest from
-//! every peer (shards and their replicas) under a deadline budget and
-//! stitches the union under the local request span — remote spans nest
-//! automatically because the wire propagates `parent_span_id` — marking
-//! the result `"partial":true` when a peer could not answer, never
-//! erroring. The fetching itself lives behind [`FleetHooks`]: this crate
-//! owns assembly and rendering, the caller (who has a `hac-net` client)
-//! owns transport.
+//! [`Routes`] with [`FleetHooks`] additionally follow the federation:
+//! `/trace/<id>` scatter-fetches the span forest from every peer (shards
+//! and their replicas) under a deadline budget and stitches the union
+//! under the local request span — remote spans nest automatically because
+//! the wire propagates `parent_span_id` — marking the result
+//! `"partial":true` when a peer could not answer, never erroring. The
+//! fetching itself lives behind [`FleetHooks`]: this crate owns assembly
+//! and rendering, the caller (who has a `hac-net` client) owns transport.
 //!
 //! Only `GET` is served; request paths are percent-decoded before
-//! routing; every response closes the connection. When the bounded
-//! accept queue overflows the request is *shed* with a best-effort
-//! `503` (and counted) instead of queueing unboundedly. No external
-//! dependencies, no TLS, no routing table — this binds to loopback (or
-//! an operator-chosen address) next to a `hacsh` process.
+//! routing; every response says `Connection: close`. A head longer than
+//! [`MAX_REQUEST_HEAD`] gets a `400`. There are no sockets and no threads
+//! here: `hac-net`'s `HacServer::serve_obs` reads the head, runs
+//! [`respond`] on a CPU worker (the fleet routes block on peer fetches),
+//! writes the bytes and closes the connection.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use crate::trace;
 
-/// Read cap for the request head (we never need bodies).
-const MAX_REQUEST_HEAD: usize = 8 * 1024;
-
-/// Longest a shed connection may hold the accept thread while its
-/// request is drained.
-const SHED_DRAIN: Duration = Duration::from_millis(5);
-
-/// Tuning for an [`ObsServer`] (defaults suit a loopback scrape target).
-#[derive(Debug, Clone)]
-pub struct ObsServerConfig {
-    /// Worker threads serving scrape requests.
-    pub workers: usize,
-    /// Accepted connections waiting for a worker before shedding.
-    pub queue_depth: usize,
-    /// Per-connection socket read/write timeout.
-    pub io_timeout: Duration,
-}
-
-impl Default for ObsServerConfig {
-    fn default() -> Self {
-        ObsServerConfig {
-            workers: 2,
-            queue_depth: 32,
-            io_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// Longest request head served; a longer one is answered with a `400`.
+pub const MAX_REQUEST_HEAD: usize = 8 * 1024;
 
 /// Caller-supplied `/statusz` payload producer (must return JSON).
 pub type StatusFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -94,11 +61,11 @@ pub struct PeerSnapshot {
     pub snapshot: Option<crate::Snapshot>,
 }
 
-/// Transport callbacks a fleet-aware [`ObsServer`] stitches with. The
-/// closures are expected to scatter to the current federation under
-/// their own deadline budget and report unreachable peers as `None`
-/// entries rather than failing — the PR-9 partial-result contract.
-/// A shell with no federation mounted returns empty vectors.
+/// Transport callbacks fleet-aware [`Routes`] stitch with. The closures
+/// are expected to scatter to the current federation under their own
+/// deadline budget and report unreachable peers as `None` entries rather
+/// than failing: a partial result, never an error. A shell with no
+/// federation mounted returns empty vectors.
 #[derive(Clone)]
 pub struct FleetHooks {
     /// This node's own label in merged output (e.g. `coordinator` or its
@@ -112,195 +79,35 @@ pub struct FleetHooks {
     pub health: Arc<dyn Fn() -> String + Send + Sync>,
 }
 
-struct HttpQueue {
-    conns: Mutex<VecDeque<TcpStream>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-    depth: usize,
-    io_timeout: Duration,
+/// What the endpoints answer from: the `/statusz` producer and, on a node
+/// that follows a federation, the fleet hooks (`None` 404s `/fleet/*`
+/// and keeps `/trace/<id>` local).
+pub struct Routes {
+    /// Produces the `/statusz` JSON body.
+    pub status: StatusFn,
+    /// Federation transport for `/trace/<id>` stitching and `/fleet/*`.
+    pub fleet: Option<FleetHooks>,
 }
 
-impl HttpQueue {
-    fn push(&self, mut stream: TcpStream) {
-        let mut conns = self.conns.lock().unwrap();
-        if conns.len() >= self.depth {
-            drop(conns);
-            // Scrapers retry; shedding beats unbounded growth. Tell the
-            // peer why (best effort — the write itself may fail) instead
-            // of a bare reset.
-            crate::counter("hac_obs_http_shed_total", &[]).inc();
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            let _ = stream.write_all(
-                b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\n\
-                  Content-Length: 9\r\nConnection: close\r\n\r\noverload\n",
-            );
-            // Closing a socket whose input is unread makes the kernel send
-            // RST, which can destroy the 503 before the peer reads it: send
-            // FIN after the reply, then read the request until the peer
-            // closes or the short drain window ends.
-            let _ = stream.shutdown(Shutdown::Write);
-            let deadline = Instant::now() + SHED_DRAIN;
-            let mut sink = [0u8; 1024];
-            while let Some(left) = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|left| !left.is_zero())
-            {
-                let _ = stream.set_read_timeout(Some(left));
-                if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
-                    break;
-                }
-            }
-            return;
-        }
-        conns.push_back(stream);
-        self.ready.notify_one();
-    }
-
-    fn pop(&self) -> Option<TcpStream> {
-        let mut conns = self.conns.lock().unwrap();
-        loop {
-            if let Some(stream) = conns.pop_front() {
-                return Some(stream);
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                return None;
-            }
-            conns = self.ready.wait(conns).unwrap();
-        }
-    }
+/// Whether `buf` holds everything [`respond`] needs: a complete request
+/// head, or more than [`MAX_REQUEST_HEAD`] bytes (answered with a `400`).
+pub fn head_ready(buf: &[u8]) -> bool {
+    buf.len() > MAX_REQUEST_HEAD || head_len(buf).is_some()
 }
 
-/// Handle to a running observability HTTP server; shuts down on
-/// [`shutdown`](Self::shutdown) or drop.
-pub struct ObsServer {
-    local_addr: SocketAddr,
-    queue: Arc<HttpQueue>,
-    threads: Vec<JoinHandle<()>>,
+/// Length of the request head in `buf`, through its terminating blank
+/// line, if it is complete.
+fn head_len(buf: &[u8]) -> Option<usize> {
+    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
-impl ObsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:0`) and starts serving the global
-    /// observability domain. `status` produces the `/statusz` JSON body.
-    pub fn serve(addr: &str, status: StatusFn) -> std::io::Result<ObsServer> {
-        ObsServer::serve_with(addr, status, ObsServerConfig::default())
-    }
-
-    /// Like [`serve`](Self::serve) with explicit worker/queue/timeout
-    /// tuning (tests use tiny queues to exercise the shed path).
-    pub fn serve_with(
-        addr: &str,
-        status: StatusFn,
-        config: ObsServerConfig,
-    ) -> std::io::Result<ObsServer> {
-        ObsServer::start(addr, status, config, None)
-    }
-
-    /// Like [`serve_with`](Self::serve_with), additionally following a
-    /// federation: `/trace/<id>` stitches peer spans, `/fleet/metrics`
-    /// merges peer registries, `/fleet/health` reports shard health.
-    pub fn serve_fleet(
-        addr: &str,
-        status: StatusFn,
-        config: ObsServerConfig,
-        fleet: FleetHooks,
-    ) -> std::io::Result<ObsServer> {
-        ObsServer::start(addr, status, config, Some(Arc::new(fleet)))
-    }
-
-    fn start(
-        addr: &str,
-        status: StatusFn,
-        config: ObsServerConfig,
-        fleet: Option<Arc<FleetHooks>>,
-    ) -> std::io::Result<ObsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let queue = Arc::new(HttpQueue {
-            conns: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            depth: config.queue_depth.max(1),
-            io_timeout: config.io_timeout,
-        });
-        let workers = config.workers.max(1);
-        let mut threads = Vec::with_capacity(workers + 1);
-        for _ in 0..workers {
-            let queue = Arc::clone(&queue);
-            let status = Arc::clone(&status);
-            let fleet = fleet.clone();
-            threads.push(std::thread::spawn(move || {
-                while let Some(stream) = queue.pop() {
-                    let io_timeout = queue.io_timeout;
-                    let _ = serve_connection(stream, &status, fleet.as_deref(), io_timeout);
-                }
-            }));
-        }
-        {
-            let queue = Arc::clone(&queue);
-            threads.push(std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if queue.shutdown.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    match stream {
-                        Ok(stream) => queue.push(stream),
-                        Err(_) => continue,
-                    }
-                }
-            }));
-        }
-        Ok(ObsServer {
-            local_addr,
-            queue,
-            threads,
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Stops accepting, drains workers, and joins all threads.
-    pub fn shutdown(&mut self) {
-        self.queue.shutdown.store(true, Ordering::Relaxed);
-        self.queue.ready.notify_all();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ObsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    status: &StatusFn,
-    fleet: Option<&FleetHooks>,
-    io_timeout: Duration,
-) -> std::io::Result<()> {
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let mut head = Vec::new();
-    let mut buf = [0u8; 1024];
-    // Read until the blank line ending the request head; we ignore bodies.
-    while !head.windows(4).any(|w| w == b"\r\n\r\n") {
-        if head.len() > MAX_REQUEST_HEAD {
-            return respond(&mut stream, 400, "text/plain", "request too large\n");
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Ok(());
-        }
-        head.extend_from_slice(&buf[..n]);
-    }
-    let head = String::from_utf8_lossy(&head);
+/// Routes one request head (bodies are never read) and returns the full
+/// HTTP/1.1 response: status line, headers and body.
+pub fn respond(head: &[u8], routes: &Routes) -> Vec<u8> {
+    let head = match head_len(head) {
+        Some(n) if n <= MAX_REQUEST_HEAD => String::from_utf8_lossy(&head[..n]),
+        _ => return response(400, "text/plain", "request too large\n"),
+    };
     let request_line = head.lines().next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let (method, target) = (
@@ -308,7 +115,7 @@ fn serve_connection(
         parts.next().unwrap_or_default(),
     );
     if method != "GET" {
-        return respond(&mut stream, 405, "text/plain", "method not allowed\n");
+        return response(405, "text/plain", "method not allowed\n");
     }
     // Split the query off before decoding so `%26` in a value cannot
     // smuggle in a separator, then percent-decode path and params.
@@ -320,41 +127,28 @@ fn serve_connection(
     let query = parse_query(raw_query);
     let endpoint = normalize_endpoint(&path);
     crate::counter("hac_obs_http_requests_total", &[("endpoint", endpoint)]).inc();
+    let fleet = routes.fleet.as_ref();
     match endpoint {
-        "metrics" => respond(
-            &mut stream,
+        "metrics" => response(
             200,
             "text/plain; version=0.0.4; charset=utf-8",
             &crate::prometheus(),
         ),
-        "healthz" => respond(&mut stream, 200, "text/plain", "ok\n"),
-        "statusz" => respond(&mut stream, 200, "application/json", &status()),
-        "events" => respond(
-            &mut stream,
+        "healthz" => response(200, "text/plain", "ok\n"),
+        "statusz" => response(200, "application/json", &(routes.status)()),
+        "events" => response(
             200,
             "application/json",
             &events_json(&crate::recent_events()),
         ),
-        "slow" => respond(
-            &mut stream,
-            200,
-            "application/json",
-            &events_json(&crate::slow_ops()),
-        ),
+        "slow" => response(200, "application/json", &events_json(&crate::slow_ops())),
         "timeseries" => {
-            // Pull-style fallback: a scrape with no sampler thread still
-            // gets fresh points (daemonless CI smoke relies on this).
+            // A scrape is one of the sampling clocks: it gets fresh
+            // points even in a process with no server loop or daemon.
             crate::timeseries::sample_if_due();
             let metric = match query.iter().find(|(k, _)| k == "metric") {
                 Some((_, m)) if !m.is_empty() => m.as_str(),
-                _ => {
-                    return respond(
-                        &mut stream,
-                        400,
-                        "text/plain",
-                        "missing required query param: metric\n",
-                    )
-                }
+                _ => return response(400, "text/plain", "missing required query param: metric\n"),
             };
             let window = query
                 .iter()
@@ -362,60 +156,47 @@ fn serve_connection(
                 .and_then(|(_, v)| v.parse::<u64>().ok())
                 .unwrap_or(60);
             match crate::timeseries::global().series_json(metric, window) {
-                Some(json) => respond(&mut stream, 200, "application/json", &json),
-                None => respond(&mut stream, 404, "text/plain", "unknown metric\n"),
+                Some(json) => response(200, "application/json", &json),
+                None => response(404, "text/plain", "unknown metric\n"),
             }
         }
         "alerts" => {
             crate::timeseries::sample_if_due();
-            respond(
-                &mut stream,
-                200,
-                "application/json",
-                &crate::slo::engine().to_json(),
-            )
+            response(200, "application/json", &crate::slo::engine().to_json())
         }
-        "trace" => match trace::parse_id(path.trim_start_matches("/trace/")) {
-            Some(id) => {
+        "trace" => {
+            // Malformed ids and unknown ids look the same to a client:
+            // there is no such trace resource.
+            let body = trace::parse_id(path.trim_start_matches("/trace/")).and_then(|id| {
                 // A span can sit in either (or both) rings; assembly dedups.
                 let mut events = crate::recent_events();
                 events.extend(crate::slow_ops());
                 match fleet {
-                    Some(hooks) => {
-                        let body = stitched_trace_json(hooks, id, events);
-                        match body {
-                            Some(json) => respond(&mut stream, 200, "application/json", &json),
-                            None => respond(&mut stream, 404, "text/plain", "unknown trace id\n"),
-                        }
-                    }
+                    Some(hooks) => stitched_trace_json(hooks, id, events),
                     None => {
                         let tree = trace::assemble(&events, id);
-                        if tree.roots.is_empty() {
-                            respond(&mut stream, 404, "text/plain", "unknown trace id\n")
-                        } else {
-                            respond(&mut stream, 200, "application/json", &tree.to_json())
-                        }
+                        (!tree.roots.is_empty()).then(|| tree.to_json())
                     }
                 }
+            });
+            match body {
+                Some(json) => response(200, "application/json", &json),
+                None => response(404, "text/plain", "unknown trace id\n"),
             }
-            // Malformed ids and unknown ids look the same to a client:
-            // there is no such trace resource.
-            None => respond(&mut stream, 404, "text/plain", "unknown trace id\n"),
-        },
+        }
         "fleet_metrics" => match fleet {
-            Some(hooks) => respond(
-                &mut stream,
+            Some(hooks) => response(
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
                 &fleet_metrics_text(hooks),
             ),
-            None => respond(&mut stream, 404, "text/plain", "not a fleet node\n"),
+            None => response(404, "text/plain", "not a fleet node\n"),
         },
         "fleet_health" => match fleet {
-            Some(hooks) => respond(&mut stream, 200, "application/json", &(hooks.health)()),
-            None => respond(&mut stream, 404, "text/plain", "not a fleet node\n"),
+            Some(hooks) => response(200, "application/json", &(hooks.health)()),
+            None => response(404, "text/plain", "not a fleet node\n"),
         },
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
+        _ => response(404, "text/plain", "not found\n"),
     }
 }
 
@@ -487,7 +268,7 @@ fn stitched_trace_json(
 
 /// Merges the local registry with every peer's scraped snapshot into one
 /// `node`-labeled exposition, mirroring peer series into the global
-/// registry ([`crate::absorb_fleet`]) so the sampler/SLO machinery sees
+/// registry ([`crate::absorb_fleet`]) so the time-series/SLO machinery sees
 /// fleet-level rates. Unreachable peers degrade the scrape to partial
 /// (`hac_fleet_scrape_partial 1`, `hac_fleet_peer_up{node=…} 0`) —
 /// never to an error. Public so `hacsh fleet stats` and `/fleet/metrics`
@@ -590,12 +371,7 @@ fn events_json(events: &[crate::Event]) -> String {
     format!("[{}]", items.join(","))
 }
 
-fn respond(
-    stream: &mut TcpStream,
-    code: u16,
-    content_type: &str,
-    body: &str,
-) -> std::io::Result<()> {
+fn response(code: u16, content_type: &str, body: &str) -> Vec<u8> {
     let reason = match code {
         200 => "OK",
         400 => "Bad Request",
@@ -603,26 +379,26 @@ fn respond(
         405 => "Method Not Allowed",
         _ => "Error",
     };
-    let head = format!(
+    let mut out = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    )
+    .into_bytes();
+    out.extend_from_slice(body.as_bytes());
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+    /// Routes `GET <path>` and splits the response into status and body.
+    fn get(routes: &Routes, path: &str) -> (u16, String) {
+        send(routes, &format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n"))
+    }
+
+    fn send(routes: &Routes, head: &str) -> (u16, String) {
+        let response = String::from_utf8(respond(head.as_bytes(), routes)).unwrap();
         let code: u16 = response
             .split_whitespace()
             .nth(1)
@@ -635,6 +411,13 @@ mod tests {
         (code, body)
     }
 
+    fn local(status: StatusFn) -> Routes {
+        Routes {
+            status,
+            fleet: None,
+        }
+    }
+
     #[test]
     fn serves_metrics_health_status_events_and_traces() {
         crate::counter("t_http_seen_total", &[]).inc();
@@ -645,65 +428,59 @@ mod tests {
             drop(crate::global().span("t_http_child", vec![]));
         }
         let status: StatusFn = Arc::new(|| "{\"state\":\"testing\"}".to_string());
-        let mut server = ObsServer::serve("127.0.0.1:0", status).unwrap();
-        let addr = server.local_addr();
+        let routes = local(status);
 
-        let (code, body) = get(addr, "/healthz");
+        let (code, body) = get(&routes, "/healthz");
         assert_eq!((code, body.as_str()), (200, "ok\n"));
 
-        let (code, body) = get(addr, "/metrics");
+        let (code, body) = get(&routes, "/metrics");
         assert_eq!(code, 200);
         assert!(body.contains("t_http_seen_total 1"), "{body}");
         assert!(body.contains("# TYPE t_http_seen_total counter"));
 
-        let (code, body) = get(addr, "/statusz");
+        let (code, body) = get(&routes, "/statusz");
         assert_eq!(code, 200);
         assert_eq!(body, "{\"state\":\"testing\"}");
 
-        let (code, body) = get(addr, "/events");
+        let (code, body) = get(&routes, "/events");
         assert_eq!(code, 200);
         assert!(body.starts_with('[') && body.ends_with(']'));
         assert!(body.contains("\"name\":\"t_http_root\""), "{body}");
 
-        let (code, _) = get(addr, "/slow");
+        let (code, _) = get(&routes, "/slow");
         assert_eq!(code, 200);
 
-        let (code, body) = get(addr, &format!("/trace/{}", trace::format_id(trace_id)));
+        let (code, body) = get(&routes, &format!("/trace/{}", trace::format_id(trace_id)));
         assert_eq!(code, 200, "{body}");
         assert!(body.contains("\"name\":\"t_http_root\""), "{body}");
         assert!(body.contains("\"name\":\"t_http_child\""), "{body}");
 
-        let (code, _) = get(addr, "/trace/ffffffffffffffff");
+        let (code, _) = get(&routes, "/trace/ffffffffffffffff");
         assert_eq!(code, 404, "unknown trace id");
-        let (code, _) = get(addr, "/trace/zz");
+        let (code, _) = get(&routes, "/trace/zz");
         assert_eq!(code, 404, "malformed trace id is just an unknown trace");
-        let (code, _) = get(addr, "/nope");
+        let (code, _) = get(&routes, "/nope");
         assert_eq!(code, 404);
-
-        server.shutdown();
     }
 
     #[test]
     fn percent_decoded_paths_route_and_unknowns_404() {
         let status: StatusFn = Arc::new(String::new);
-        let mut server = ObsServer::serve("127.0.0.1:0", status).unwrap();
-        let addr = server.local_addr();
+        let routes = local(status);
 
         // %6D%65trics → "metrics"
-        let (code, body) = get(addr, "/%6D%65trics");
+        let (code, body) = get(&routes, "/%6D%65trics");
         assert_eq!(code, 200, "{body}");
         assert!(body.contains("# TYPE"), "{body}");
 
         // Encoded unknown path and encoded malformed trace id both 404.
-        let (code, _) = get(addr, "/no%20such%20page");
+        let (code, _) = get(&routes, "/no%20such%20page");
         assert_eq!(code, 404);
-        let (code, _) = get(addr, "/trace/%7A%7A");
+        let (code, _) = get(&routes, "/trace/%7A%7A");
         assert_eq!(code, 404);
 
         assert_eq!(percent_decode("a%2Fb+c%"), "a/b c%");
         assert_eq!(percent_decode("%zz"), "%zz");
-
-        server.shutdown();
     }
 
     #[test]
@@ -714,30 +491,27 @@ mod tests {
         crate::timeseries::sample_now();
 
         let status: StatusFn = Arc::new(String::new);
-        let mut server = ObsServer::serve("127.0.0.1:0", status).unwrap();
-        let addr = server.local_addr();
+        let routes = local(status);
 
-        let (code, body) = get(addr, "/timeseries?metric=t_http_ts_total&window=60");
+        let (code, body) = get(&routes, "/timeseries?metric=t_http_ts_total&window=60");
         assert_eq!(code, 200, "{body}");
         assert!(body.contains("\"metric\":\"t_http_ts_total\""), "{body}");
         assert!(body.contains("\"points\":["), "{body}");
 
-        let (code, _) = get(addr, "/timeseries?metric=t_http_no_such_metric");
+        let (code, _) = get(&routes, "/timeseries?metric=t_http_no_such_metric");
         assert_eq!(code, 404);
-        let (code, body) = get(addr, "/timeseries");
+        let (code, body) = get(&routes, "/timeseries");
         assert_eq!(code, 400, "{body}");
 
-        let (code, body) = get(addr, "/alerts");
+        let (code, body) = get(&routes, "/alerts");
         assert_eq!(code, 200, "{body}");
         assert!(body.contains("\"active\":["), "{body}");
         assert!(body.contains("\"objectives\":["), "{body}");
-
-        server.shutdown();
     }
 
     #[test]
     fn fleet_endpoints_stitch_merge_and_degrade_to_partial() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
 
         let trace_id;
         {
@@ -806,14 +580,13 @@ mod tests {
             },
             health: Arc::new(|| "{\"shards\":[{\"shard\":0,\"health\":\"up\"}]}".to_string()),
         };
-        let status: StatusFn = Arc::new(String::new);
-        let mut server =
-            ObsServer::serve_fleet("127.0.0.1:0", status, ObsServerConfig::default(), hooks)
-                .unwrap();
-        let addr = server.local_addr();
+        let routes = Routes {
+            status: Arc::new(String::new),
+            fleet: Some(hooks),
+        };
 
         // Healthy fleet: spans from both peers, node-tagged, not partial.
-        let (code, body) = get(addr, &format!("/trace/{}", trace::format_id(trace_id)));
+        let (code, body) = get(&routes, &format!("/trace/{}", trace::format_id(trace_id)));
         assert_eq!(code, 200, "{body}");
         assert!(
             body.starts_with("{\"partial\":false,\"node\":\"coord\","),
@@ -835,7 +608,7 @@ mod tests {
             "remote span untagged: {body}"
         );
 
-        let (code, body) = get(addr, "/fleet/metrics");
+        let (code, body) = get(&routes, "/fleet/metrics");
         assert_eq!(code, 200, "{body}");
         assert!(
             body.contains("t_fleet_peer_total{node=\"s0@a:1\"} 4"),
@@ -859,13 +632,13 @@ mod tests {
             "{body}"
         );
 
-        let (code, body) = get(addr, "/fleet/health");
+        let (code, body) = get(&routes, "/fleet/health");
         assert_eq!(code, 200);
         assert!(body.contains("\"health\":\"up\""), "{body}");
 
         // Kill shard1: both endpoints degrade to explicitly-partial output.
         down.store(true, Ordering::Relaxed);
-        let (code, body) = get(addr, &format!("/trace/{}", trace::format_id(trace_id)));
+        let (code, body) = get(&routes, &format!("/trace/{}", trace::format_id(trace_id)));
         assert_eq!(code, 200, "{body}");
         assert!(body.starts_with("{\"partial\":true,"), "{body}");
         assert!(
@@ -876,7 +649,7 @@ mod tests {
             body.contains("\"name\":\"t_fleet_s0\""),
             "reachable peer still stitched: {body}"
         );
-        let (code, body) = get(addr, "/fleet/metrics");
+        let (code, body) = get(&routes, "/fleet/metrics");
         assert_eq!(code, 200, "{body}");
         assert!(
             body.contains("hac_fleet_scrape_partial{node=\"coord\"} 1"),
@@ -891,77 +664,44 @@ mod tests {
             "{body}"
         );
 
-        server.shutdown();
-
-        // A non-fleet server 404s the fleet endpoints.
-        let status: StatusFn = Arc::new(String::new);
-        let mut plain = ObsServer::serve("127.0.0.1:0", status).unwrap();
-        let (code, body) = get(plain.local_addr(), "/fleet/metrics");
+        // Routes without fleet hooks 404 the fleet endpoints.
+        let plain = local(Arc::new(String::new));
+        let (code, body) = get(&plain, "/fleet/metrics");
         assert_eq!((code, body.as_str()), (404, "not a fleet node\n"));
-        let (code, _) = get(plain.local_addr(), "/fleet/health");
+        let (code, _) = get(&plain, "/fleet/health");
         assert_eq!(code, 404);
-        plain.shutdown();
     }
 
     #[test]
-    fn shed_queue_overflow_responds_503_and_counts() {
-        let status: StatusFn = Arc::new(String::new);
-        let config = ObsServerConfig {
-            workers: 1,
-            queue_depth: 1,
-            io_timeout: Duration::from_secs(2),
-        };
-        let mut server = ObsServer::serve_with("127.0.0.1:0", status, config).unwrap();
-        let addr = server.local_addr();
-        let shed_before = crate::counter("hac_obs_http_shed_total", &[]).get();
+    fn refuses_non_get_oversized_heads_and_bad_trace_ids() {
+        let routes = local(Arc::new(String::new));
+        let (code, _) = send(&routes, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(code, 405);
 
-        // Pin the single worker on a half-written request, then stuff
-        // more idle connections in than the queue can hold.
-        let mut blocker = TcpStream::connect(addr).unwrap();
-        blocker.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-
-        let mut held = Vec::new();
-        let mut sheds = 0;
-        for _ in 0..8 {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream
-                .write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
-                .unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_millis(500)))
-                .unwrap();
-            let mut response = String::new();
-            if stream.read_to_string(&mut response).is_ok() && response.starts_with("HTTP/1.1 503")
-            {
-                sheds += 1;
-                continue;
-            }
-            held.push(stream);
-        }
-        assert!(sheds > 0, "expected at least one shed 503");
-        let shed_after = crate::counter("hac_obs_http_shed_total", &[]).get();
-        assert!(
-            shed_after >= shed_before + sheds,
-            "shed counter should cover every 503 ({shed_before} -> {shed_after}, saw {sheds})"
+        // Over the cap, complete or not, the head is refused unread.
+        let big = format!(
+            "GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_REQUEST_HEAD)
         );
+        assert!(head_ready(big.as_bytes()));
+        assert_eq!(
+            send(&routes, &big),
+            (400, "request too large\n".to_string())
+        );
+        let partial = "a".repeat(MAX_REQUEST_HEAD + 1);
+        assert!(head_ready(partial.as_bytes()));
+        assert_eq!(send(&routes, &partial).0, 400);
 
-        // Release the worker so shutdown can drain cleanly.
-        blocker.write_all(b"Host: x\r\n\r\n").unwrap();
-        drop(held);
-        server.shutdown();
-    }
+        // A head at the cap is served; an unfinished one is not ready.
+        let at_cap = format!("GET /healthz HTTP/1.1\r\nX-Pad: {}", "a".repeat(8000));
+        let at_cap = format!(
+            "{at_cap}{}\r\n\r\n",
+            "a".repeat(MAX_REQUEST_HEAD - at_cap.len() - 4)
+        );
+        assert_eq!(at_cap.len(), MAX_REQUEST_HEAD);
+        assert_eq!(send(&routes, &at_cap), (200, "ok\n".to_string()));
+        assert!(!head_ready(b"GET /healthz HTTP/1.1\r\n"));
 
-    #[test]
-    fn rejects_non_get() {
-        let status: StatusFn = Arc::new(String::new);
-        let server = ObsServer::serve("127.0.0.1:0", status).unwrap();
-        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        stream
-            .write_all(b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+        assert_eq!(get(&routes, "/trace/zz").0, 404);
     }
 }

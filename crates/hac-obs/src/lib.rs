@@ -31,15 +31,13 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 pub use events::{Event, EventRing, SpanGuard};
-pub use http::{ObsServer, ObsServerConfig};
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSample, MetricId,
     Registry, Sample, Snapshot, HISTOGRAM_BUCKETS,
 };
 pub use slo::{Alert, Objective, SloEngine, SloSpec, SloState};
 pub use timeseries::{
-    sample_if_due, sample_now, sampler_running, start_sampler, GaugeWindow, TimeSeries,
-    DEFAULT_SAMPLE_INTERVAL_MS,
+    sample_if_due, sample_now, GaugeWindow, TimeSeries, DEFAULT_SAMPLE_INTERVAL_MS,
 };
 pub use trace::{
     assemble, continue_trace, current as current_trace, set_tracing_enabled, tracing_enabled,
@@ -190,8 +188,8 @@ pub fn set_slow_op_threshold_micros(micros: u64) {
 static FLEET_LAST: OnceLock<Mutex<std::collections::HashMap<MetricId, u64>>> = OnceLock::new();
 
 /// Mirrors a peer's scraped metric snapshot into the *global* registry
-/// under fleet names, feeding the sampler/SLO machinery with fleet-level
-/// series:
+/// under fleet names, feeding the time-series/SLO machinery with
+/// fleet-level series:
 ///
 /// * every counter `hac_x_total{…}` becomes
 ///   `hac_fleet_hac_x_total{…,node="<node>"}`, advanced by the delta
@@ -202,10 +200,10 @@ static FLEET_LAST: OnceLock<Mutex<std::collections::HashMap<MetricId, u64>>> = O
 /// * histograms are not mirrored (percentiles do not merge across
 ///   processes; fleet latency objectives read per-node series instead).
 ///
-/// Because the mirrors live in the ordinary global registry, the PR-7
-/// sampler windows them like any local metric, so burn-rate SLOs can be
-/// declared over fleet-level rates (`hac_fleet_hac_net_errors_total
-/// rate < 10/s over 60s`). Peer metrics already carrying the
+/// Because the mirrors live in the ordinary global registry, the
+/// time-series layer windows them like any local metric, so burn-rate
+/// SLOs can be declared over fleet-level rates
+/// (`hac_fleet_hac_net_errors_total rate < 10/s over 60s`). Peer metrics already carrying the
 /// `hac_fleet_` prefix are skipped: a peer that scrapes its own fleet
 /// must not cascade mirrors of mirrors.
 pub fn absorb_fleet(node: &str, snap: &Snapshot) {

@@ -254,14 +254,6 @@ const CURATED_HELP: &[(&str, &str)] = &[
         "Readiness events delivered per poller wakeup",
     ),
     (
-        "hac_net_server_pipeline_depth",
-        "In-flight pipelined requests per connection",
-    ),
-    (
-        "hac_net_server_frames_per_flush",
-        "Response frames batched into one socket flush",
-    ),
-    (
         "hac_net_server_inline_total",
         "Requests served on the event-loop thread (cost model)",
     ),
@@ -289,17 +281,12 @@ const CURATED_HELP: &[(&str, &str)] = &[
     ("hac_slo_state", "Objective state (0 ok, 1 warn, 2 breach)"),
     (
         "hac_slo_evals_total",
-        "Objective evaluations by the sampler",
+        "Objective evaluations per time-series sample",
     ),
-    ("hac_ts_samples_total", "Time-series sampler ticks"),
+    ("hac_ts_samples_total", "Time-series samples taken"),
     (
         "hac_ts_sample_duration_us",
-        "Cost of one time-series sampling tick",
-    ),
-    ("hac_ts_sampler_interval_ms", "Configured sampling interval"),
-    (
-        "hac_obs_http_shed_total",
-        "Observability HTTP requests shed (503) at the full queue",
+        "Cost of one time-series sample",
     ),
     (
         "hac_obs_http_requests_total",

@@ -6,12 +6,12 @@
 //! ```text
 //! query-latency: hac_query_eval_duration_us p99 < 5ms over 60s
 //! net-errors:    hac_net_errors_total/hac_net_requests_total ratio < 0.1% over 60s
-//! shed-rate:     hac_obs_http_shed_total rate < 10/s over 60s
+//! reject-rate:   hac_net_server_rejected_total rate < 10/s over 60s
 //! ```
 //!
-//! Each sampler tick re-evaluates every objective over **two** burn-rate
-//! windows: the *fast* window (the one declared in the spec) and a *slow*
-//! window [`SLOW_WINDOW_FACTOR`]× longer. The classic multi-window rule
+//! Each time-series sample re-evaluates every objective over **two**
+//! burn-rate windows: the *fast* window (the one declared in the spec) and
+//! a *slow* window [`SLOW_WINDOW_FACTOR`]× longer. The classic multi-window rule
 //! keeps alerts both quick and unflappable:
 //!
 //! * fast **and** slow window violated → **BREACH** (the budget is
@@ -20,8 +20,8 @@
 //! * neither → **OK**.
 //!
 //! State transitions are pushed into a bounded alert ring and surfaced as
-//! `hac_slo_breaches_total{slo=…}` / `hac_slo_state{slo=…}`; `/alerts` on
-//! the [`ObsServer`](crate::ObsServer) and `hacsh slo status` read both.
+//! `hac_slo_breaches_total{slo=…}` / `hac_slo_state{slo=…}`; `/alerts` (see
+//! [`http`](crate::http)) and `hacsh slo status` read both.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, OnceLock};
@@ -331,7 +331,7 @@ pub struct SloStatus {
     pub value: Option<f64>,
 }
 
-/// Evaluates installed objectives on every sampler tick.
+/// Evaluates installed objectives on every time-series sample.
 #[derive(Default)]
 pub struct SloEngine {
     slos: Mutex<Vec<SloRuntime>>,
@@ -367,7 +367,7 @@ impl SloEngine {
     }
 
     /// Re-measures every objective against `ts` and records state
-    /// transitions (called once per sampler tick).
+    /// transitions (called once per time-series sample).
     pub fn evaluate(&self, ts: &TimeSeries) {
         let now = ts.now_us();
         let mut slos = lock(&self.slos);
@@ -500,7 +500,7 @@ fn measure(ts: &TimeSeries, objective: &Objective, window_secs: u64) -> Option<f
 
 static ENGINE: OnceLock<SloEngine> = OnceLock::new();
 
-/// The process-wide SLO engine (evaluated by the global sampler).
+/// The process-wide SLO engine (evaluated on every global sample).
 pub fn engine() -> &'static SloEngine {
     ENGINE.get_or_init(SloEngine::default)
 }
@@ -539,12 +539,13 @@ mod tests {
                 max_ratio: 0.001,
             }
         );
-        let s = SloSpec::parse("shed: hac_obs_http_shed_total rate < 10/s over 5m").unwrap();
+        let s =
+            SloSpec::parse("rejects: hac_net_server_rejected_total rate < 10/s over 5m").unwrap();
         assert_eq!(s.window_secs, 300);
         assert_eq!(
             s.objective,
             Objective::RateBelow {
-                metric: "hac_obs_http_shed_total".to_string(),
+                metric: "hac_net_server_rejected_total".to_string(),
                 max_per_sec: 10.0,
             }
         );

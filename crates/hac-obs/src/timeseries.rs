@@ -1,10 +1,11 @@
 //! Windowed time-series collection over the metrics [`Registry`].
 //!
 //! Every metric in the workspace is a monotonic point-in-time value; this
-//! module turns them into *series*: a [`Sampler`] (a background thread, or
-//! the reindex daemon's tick as a fallback) snapshots the global registry
-//! at a configurable interval and stores per-metric **deltas** in
-//! fixed-capacity ring buffers. From those deltas the layer derives:
+//! module turns them into *series*: [`sample_if_due`], pulled from ticks
+//! that already exist (server loop wakeups, daemon ticks, scrapes, `top`),
+//! snapshots the global registry at most once per configurable interval
+//! and stores per-metric **deltas** in fixed-capacity ring buffers. From
+//! those deltas the layer derives:
 //!
 //! * rolling **rates** over arbitrary windows (1s/10s/60s are the
 //!   conventional ones: [`TimeSeries::rate`]);
@@ -22,18 +23,18 @@
 //! counter that was alive long before sampling started would show up as
 //! one giant spike. Each stored point also carries the time covered since
 //! the previous sample (`dt`), so rates stay honest across missed ticks
-//! and the daemon-tick fallback's irregular cadence.
+//! and the pullers' irregular cadence.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::metrics::{bucket_upper_bound, MetricId, Snapshot, HISTOGRAM_BUCKETS};
 use crate::sync::lock;
 
-/// Default sampling interval of the background [`Sampler`].
+/// Default sampling interval: [`sample_if_due`] samples at most this often.
 pub const DEFAULT_SAMPLE_INTERVAL_MS: u64 = 1000;
 /// Samples retained per metric (at the default interval: ~2 minutes).
 pub const DEFAULT_SERIES_CAPACITY: usize = 128;
@@ -135,6 +136,15 @@ impl TimeSeries {
     /// Completed sampling ticks.
     pub fn sample_count(&self) -> u64 {
         self.samples.load(Ordering::Relaxed)
+    }
+
+    /// Whether a sample is due: none yet, or one interval has elapsed
+    /// since the last.
+    fn due(&self) -> bool {
+        let since = self
+            .now_us()
+            .saturating_sub(self.last_sample_us.load(Ordering::Relaxed));
+        self.sample_count() == 0 || since >= self.interval_ms() * 1000
     }
 
     /// Ingests one registry snapshot: records the delta of every metric
@@ -520,11 +530,13 @@ fn push_capped<T>(points: &mut VecDeque<T>, point: T, capacity: usize) {
 }
 
 // ---------------------------------------------------------------------
-// The global store and its sampler.
+// The global store and its pullers.
 // ---------------------------------------------------------------------
 
 static GLOBAL_TS: OnceLock<TimeSeries> = OnceLock::new();
-static SAMPLER_RUNNING: AtomicBool = AtomicBool::new(false);
+/// Serializes samples: two concurrent delta computations would
+/// double-count, and a puller that waited here re-checks whether the
+/// sample it came for was already taken.
 static SAMPLE_GATE: Mutex<()> = Mutex::new(());
 
 /// The process-wide time-series store (fed from the global registry).
@@ -535,9 +547,29 @@ pub fn global() -> &'static TimeSeries {
 /// Takes one sample of the global registry right now and re-evaluates the
 /// SLO engine against the updated series.
 pub fn sample_now() {
-    // Serialize samplers (thread, daemon fallback, scrape pull): two
-    // concurrent delta computations would double-count.
     let _gate = lock(&SAMPLE_GATE);
+    sample_global();
+}
+
+/// Samples only when at least one interval elapsed since the last sample.
+/// Cheap to call unconditionally, so the ticks that already exist pull
+/// the series forward: every `HacServer` loop wakeup, every daemon tick,
+/// every `/timeseries` and `/alerts` scrape and every `top` frame. Any
+/// number of concurrent pullers take one sample per interval between
+/// them.
+pub fn sample_if_due() {
+    let ts = global();
+    if !ts.due() {
+        return;
+    }
+    let _gate = lock(&SAMPLE_GATE);
+    if ts.due() {
+        sample_global();
+    }
+}
+
+/// One sample of the global registry; the caller holds `SAMPLE_GATE`.
+fn sample_global() {
     let t = Instant::now();
     let ts = global();
     ts.sample(&crate::snapshot());
@@ -546,58 +578,11 @@ pub fn sample_now() {
     crate::histogram("hac_ts_sample_duration_us", &[]).record(t.elapsed().as_micros() as u64);
 }
 
-/// Samples only when at least one interval elapsed since the last sample
-/// **and** no background sampler is running — the daemon-tick / scrape
-/// fallback. Cheap to call unconditionally.
-pub fn sample_if_due() {
-    let ts = global();
-    if sampler_running() {
-        return;
-    }
-    let now = ts.now_us();
-    let last = ts.last_sample_us.load(Ordering::Relaxed);
-    if ts.sample_count() > 0 && now.saturating_sub(last) < ts.interval_ms() * 1000 {
-        return;
-    }
-    sample_now();
-}
-
-/// Whether the background sampler thread is running.
-pub fn sampler_running() -> bool {
-    SAMPLER_RUNNING.load(Ordering::Relaxed)
-}
-
-/// Starts the background sampler at `interval` (first caller wins; later
-/// calls are no-ops returning `false`). The thread lives for the process
-/// — observability has no teardown, and an idle sampler costs one
-/// registry snapshot per interval.
-pub fn start_sampler(interval: Duration) -> bool {
-    if SAMPLER_RUNNING
-        .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-        .is_err()
-    {
-        return false;
-    }
-    let interval = interval.max(Duration::from_millis(1));
-    global().set_interval_ms(interval.as_millis() as u64);
-    crate::gauge("hac_ts_sampler_interval_ms", &[]).set(interval.as_millis() as i64);
-    let spawned = std::thread::Builder::new()
-        .name("hac-obs-sampler".to_string())
-        .spawn(move || loop {
-            sample_now();
-            std::thread::sleep(interval);
-        });
-    if spawned.is_err() {
-        SAMPLER_RUNNING.store(false, Ordering::Release);
-        return false;
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::Registry;
+    use std::time::Duration;
 
     #[test]
     fn first_sight_records_baseline_not_spike() {

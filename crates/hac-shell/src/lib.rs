@@ -75,7 +75,7 @@ pub struct Shell {
     fs: Arc<HacFs>,
     cwd: VPath,
     server: Option<hac_net::HacServer>,
-    obs_server: Option<hac_obs::ObsServer>,
+    obs_server: Option<hac_net::HacServer>,
     /// Shared with the `/statusz` closure so it sees serve/stop live.
     net_addr: Arc<std::sync::Mutex<Option<std::net::SocketAddr>>>,
     /// Shard servers started by `fed serve` (one per shard).
@@ -130,7 +130,7 @@ impl Shell {
 
     /// Address of the running `obs-serve` instance, if any.
     pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs_server.as_ref().map(hac_obs::ObsServer::local_addr)
+        self.obs_server.as_ref().map(hac_net::HacServer::local_addr)
     }
 
     /// The wrapped file system.
@@ -543,7 +543,7 @@ impl Shell {
             // --- observability --------------------------------------------
             "obs-serve" => match args {
                 [word] if word == "stop" => match self.obs_server.take() {
-                    Some(mut server) => {
+                    Some(server) => {
                         let addr = server.local_addr();
                         server.shutdown();
                         Ok(format!("stopped observability server on {addr}\n"))
@@ -564,17 +564,20 @@ impl Shell {
                     // hooks return empty peer sets, so the fleet
                     // endpoints degenerate to the local view, and a
                     // later `mount … fed://` is picked up live.
-                    let server = hac_obs::ObsServer::serve_fleet(
-                        addr.as_str(),
-                        self.status_fn(),
-                        hac_obs::http::ObsServerConfig::default(),
-                        self.fleet_hooks(),
-                    )
-                    .map_err(|e| {
-                        ShellError::Hac(HacError::Remote(hac_core::RemoteError::Unavailable(
-                            e.to_string(),
-                        )))
-                    })?;
+                    let routes = hac_obs::http::Routes {
+                        status: self.status_fn(),
+                        fleet: Some(self.fleet_hooks()),
+                    };
+                    let config = hac_net::ServerConfig {
+                        workers: 2,
+                        ..Default::default()
+                    };
+                    let server = hac_net::HacServer::serve_obs(addr.as_str(), routes, config)
+                        .map_err(|e| {
+                            ShellError::Hac(HacError::Remote(hac_core::RemoteError::Unavailable(
+                                e.to_string(),
+                            )))
+                        })?;
                     let bound = server.local_addr();
                     self.obs_server = Some(server);
                     Ok(format!(
@@ -637,12 +640,12 @@ impl Shell {
                 }
                 let cfg = self.fs.config();
                 // `top` is often the first observability consumer in a
-                // session: make sure objectives are installed and the
-                // sampler is feeding the windows it renders.
+                // session: make sure objectives are installed, and pull
+                // the windows it renders forward (each frame samples when
+                // an interval has elapsed).
                 if hac_obs::slo::engine().is_empty() && !cfg.slos.is_empty() {
                     hac_obs::slo::install(&cfg.slos);
                 }
-                hac_obs::start_sampler(std::time::Duration::from_millis(cfg.sample_interval_ms));
                 hac_obs::sample_if_due();
                 match args {
                     [] => Ok(render_top(
@@ -1051,10 +1054,10 @@ impl Shell {
         Ok(out)
     }
 
-    /// Builds the fleet hooks for [`hac_obs::ObsServer::serve_fleet`]
-    /// and `fleet stats`: thin closures over the mounted federation's
-    /// scatter helpers. With no federation mounted they return empty
-    /// peer sets — the obs endpoints then serve the purely local view.
+    /// Builds the fleet hooks for `obs-serve`'s routes and `fleet stats`:
+    /// thin closures over the mounted federation's scatter helpers. With
+    /// no federation mounted they return empty peer sets — the obs
+    /// endpoints then serve the purely local view.
     fn fleet_hooks(&self) -> hac_obs::http::FleetHooks {
         let self_node = self
             .server_addr()
@@ -1233,12 +1236,7 @@ fn render_top(fs: &HacFs, fed: Option<&hac_fed::FedRemote>) -> String {
     let s = fs.index_stats();
     let mut out = String::new();
     out.push_str(&format!(
-        "hac top — sampler {} @ {}ms, {} samples\n",
-        if hac_obs::sampler_running() {
-            "running"
-        } else {
-            "on-demand"
-        },
+        "hac top — sampling @ {}ms, {} samples\n",
         ts.interval_ms(),
         ts.sample_count()
     ));

@@ -1,17 +1,19 @@
 //! End-to-end acceptance for the time-series + SLO layer: a real
 //! `HacServer` on loopback behind a `ChaosProxy`, a reindex daemon, a
-//! fast sampler, and an `ObsServer` — then:
+//! 50 ms sampling interval, and the obs endpoints — then:
 //!
 //! 1. `hacsh top` renders live windowed data (rates, percentiles) while
 //!    serve + daemon are running;
 //! 2. `/timeseries` returns multiple windows each holding ≥2 real
 //!    sampled points;
-//! 3. injecting latency through the chaos proxy breaches a tight
-//!    latency SLO, which surfaces in `/alerts`, `slo status`, and the
+//! 3. once the objective reads `ok` on healthy traffic, injecting
+//!    latency through the chaos proxy breaches a tight latency SLO, which
+//!    surfaces in `/alerts`, `slo status`, and the
 //!    `hac_slo_breaches_total` counter.
 //!
-//! Everything shares one process-global registry/sampler, so this lives
-//! in its own test binary and runs as a single scripted scenario.
+//! Everything shares one process-global registry and time series, so
+//! this lives in its own test binary and runs as a single scripted
+//! scenario.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -20,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use hac_core::{HacFs, ReindexDaemon};
 use hac_net::{ChaosMode, ChaosProxy, ClientConfig, HacServer, NetRemote, ServerConfig};
-use hac_obs::{ObsServer, SloSpec};
+use hac_obs::{SloSpec, SloState};
 use hac_remote::RemoteHac;
 use hac_shell::Shell;
 use hac_vfs::VPath;
@@ -63,13 +65,18 @@ fn export_fs() -> Arc<HacFs> {
     fs
 }
 
+/// The `net-latency` objective's current state.
+fn net_latency() -> SloState {
+    hac_obs::slo::engine()
+        .status()
+        .into_iter()
+        .find(|s| s.spec.name == "net-latency")
+        .expect("net-latency installed")
+        .state
+}
+
 #[test]
 fn top_timeseries_and_slo_breach_end_to_end() {
-    // The fast sampler must win the first-starter race against the
-    // serve/daemon default-interval starters below.
-    hac_obs::start_sampler(Duration::from_millis(50));
-    assert!(hac_obs::sampler_running());
-
     // Real TCP export behind a fault injector.
     let server = HacServer::serve(
         "127.0.0.1:0",
@@ -101,6 +108,8 @@ fn top_timeseries_and_slo_breach_end_to_end() {
     fs.smount(&p("/library"), client.clone() as _).unwrap();
     fs.smkdir(&p("/library/fp"), "fingerprint").unwrap();
     let daemon = ReindexDaemon::spawn(Arc::clone(&fs), Duration::from_millis(20));
+    // After the daemon, which installs the configured (1 s) interval.
+    hac_obs::timeseries::global().set_interval_ms(50);
 
     // A tight latency objective the chaos proxy can break on demand,
     // alongside the stock set (so `top` shows a realistic panel).
@@ -110,17 +119,24 @@ fn top_timeseries_and_slo_breach_end_to_end() {
     );
     hac_obs::slo::install(&slos);
 
-    let mut obs = ObsServer::serve("127.0.0.1:0", Arc::new(|| "{}".to_string())).unwrap();
+    let routes = hac_obs::http::Routes {
+        status: Arc::new(|| "{}".to_string()),
+        fleet: None,
+    };
+    let obs = HacServer::serve_obs("127.0.0.1:0", routes, ServerConfig::default()).unwrap();
     let obs_addr = obs.local_addr().to_string();
 
-    // Phase 1: healthy traffic through the passthrough proxy, long
-    // enough for several 50 ms sampler ticks to land.
-    for _ in 0..20 {
-        client.ping().unwrap();
-    }
-    fs.ssync(&p("/")).unwrap();
-    std::thread::sleep(Duration::from_millis(160));
+    // Phase 1: healthy traffic through the passthrough proxy, with
+    // samples between the rounds so every window holds real points.
     hac_obs::sample_now();
+    for _ in 0..4 {
+        for _ in 0..5 {
+            client.ping().unwrap();
+        }
+        fs.ssync(&p("/")).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        hac_obs::sample_now();
+    }
 
     // `/timeseries`: two different windows, each with ≥2 real points.
     for window in [10, 60] {
@@ -142,11 +158,31 @@ fn top_timeseries_and_slo_breach_end_to_end() {
     // `hacsh top` renders live windowed data from the same registry.
     let mut sh = Shell::over(Arc::clone(&fs));
     let top = sh.exec("top").unwrap();
-    assert!(top.contains("hac top —"), "{top}");
+    assert!(top.contains("hac top — sampling @ 50ms"), "{top}");
     assert!(top.contains("server rps"), "{top}");
     assert!(top.contains("alerts"), "{top}");
     let slo_before = sh.exec("slo status").unwrap();
     assert!(slo_before.contains("net-latency"), "{slo_before}");
+
+    // The breach counter moves only on a transition into breach, so
+    // phase 2 has to start from `ok`. The daemon has fed `top`; stop it,
+    // because its remote searches (and even idle-paced pings, on a small
+    // shared host) can take several milliseconds at the client and hold
+    // a 5 ms p99 above budget. With no requests in the 2 s fast window
+    // the objective reads `ok`; the slow window keeps phase 1's healthy
+    // traffic.
+    let status = daemon.stop();
+    assert!(status.ok_passes > 0, "{status:?}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while net_latency() != SloState::Ok {
+        assert!(
+            Instant::now() < deadline,
+            "net-latency never settled to ok: {}",
+            hac_obs::slo::engine().to_json()
+        );
+        std::thread::sleep(Duration::from_millis(50));
+        hac_obs::sample_now();
+    }
 
     // Phase 2: 50 ms of injected latency per request — an order of
     // magnitude over the 5 ms p99 objective. Drive slow requests until
@@ -179,7 +215,6 @@ fn top_timeseries_and_slo_breach_end_to_end() {
     assert!(top_after.contains("alerts"), "{top_after}");
 
     proxy.set_mode(ChaosMode::Passthrough);
-    daemon.stop();
     obs.shutdown();
     proxy.stop();
     server.shutdown();
